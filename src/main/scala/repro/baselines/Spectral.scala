@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.KMeansD
 import repro.linalg.{BRow, Block, SubspaceIteration}
@@ -39,27 +39,11 @@ object SpectralBaselines {
         .unionByName(norm.select(col("v2").as("src"), col("u").as("dst"), col("wn").as("w")))
         .cache()
       val ids = sym.select(col("src").as("id")).distinct()
-      val op = (y: Dataset[BRow]) => Block.spmm(sym, y, srcCol = "src", dstCol = "dst")
       // The normalised adjacency is symmetric but indefinite; shift by +I to
       // make it PSD so power iteration targets its algebraically largest
       // eigenvectors (the shift leaves eigenvectors unchanged).
-      val shifted = (y: Dataset[BRow]) => {
-        val ay = op(y)
-        val spark2 = y.sparkSession
-        import spark2.implicits._
-        y.toDF("id", "yv").join(ay.toDF("id", "av"), Seq("id"), "left")
-          .select(col("id"), col("yv"), col("av"))
-          .as[(Long, Array[Double], Array[Double])]
-          .map { case (id, yv, av) =>
-            val out = new Array[Double](yv.length)
-            var i = 0
-            while (i < yv.length) {
-              out(i) = yv(i) + (if (av == null) 0.0 else av(i)); i += 1
-            }
-            BRow(id, out)
-          }
-      }
-      val (vecs, _) = SubspaceIteration.topEig(shifted, ids, k, PowerIters, seed)
+      val (vecs, _) = SubspaceIteration.topEig(sym, "src", "dst", "w", ids, k, PowerIters, seed,
+                                               shift = 1.0)
       // Joint k-means over U ∪ V (the unipartite treatment), then read off U.
       val assignAll = KMeansD.run(Block.normalizeRows(vecs), k, seed = seed)
       sym.unpersist()

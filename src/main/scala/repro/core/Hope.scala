@@ -28,9 +28,8 @@ object Hope {
     */
   def embed(edges: DataFrame, k: Int, params: Params): Dataset[BRow] = {
     val beta = params.betaFor(k)
-    val q = BipartiteGraph.qEdges(edges).cache()
     val (uVecs, sigma) = SubspaceIteration.topLeftSingular(
-      q, rowCol = "v", colCol = "u", wCol = "q",
+      BipartiteGraph.qEdges(edges), rowCol = "v", colCol = "u", wCol = "q",
       rowIds = BipartiteGraph.vIds(edges),
       beta = beta, powerIters = params.powerIters, seed = params.seed)
     // Eigenvalues of QQᵀ are σ² ∈ [0,1] (Lemma 3.1 proof); clamp for safety.
@@ -41,7 +40,6 @@ object Hope {
     val scaled = Block.scaleCols(uVecs, factors)
     val p = BipartiteGraph.pEdges(edges)
     val xHat = Block.spmm(p, scaled, srcCol = "v", dstCol = "u", wCol = "p")
-    q.unpersist()
     Block.normalizeRows(xHat).transform(repro.linalg.Block.localize)
   }
 

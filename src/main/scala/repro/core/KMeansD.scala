@@ -57,7 +57,11 @@ object KMeansD {
         iter += 1
       }
       val bc = spark.sparkContext.broadcast(centers)
-      val wss = cached.map(r => nearest(r.vec, bc.value)._2).reduce(_ + _)
+      // Per-partition sums added in partition order: `reduce` would add them
+      // in the order tasks finish.
+      val wss = cached.mapPartitions { it =>
+        Iterator.single(it.map(r => nearest(r.vec, bc.value)._2).sum)
+      }.collect().sum
       (centers, wss)
     }
 

@@ -1,6 +1,6 @@
 package repro.linalg
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
 /** A row of a distributed dense row-block matrix: vertex id → length-β vector. */
@@ -10,8 +10,9 @@ final case class BRow(id: Long, vec: Array[Double])
   *
   * Sparse matrices are edge DataFrames `(src, dst, w)`; dense factors are
   * `Dataset[BRow]` with β ≪ |V| columns. All kernels are deterministic given
-  * their seeds, so every run of a pipeline reproduces bit-identical results
-  * up to floating-point reduction order.
+  * their seeds and their input's partitioning: reductions add per-partition
+  * partials in partition order, so every run of a pipeline reproduces
+  * bit-identical results.
   */
 object Block {
 
@@ -20,86 +21,73 @@ object Block {
     * `edges` must have columns `srcCol`, `dstCol`, `wCol`; rows of `dense`
     * are keyed by the values in `srcCol`. Ids absent from `edges` simply do
     * not appear in the output (callers guarantee min-degree ≥ 1 inputs).
+    * A one-off product: it builds a [[SparseOp]], co-partitions `dense` with
+    * it and multiplies once; iterative callers keep the operator instead.
     */
   def spmm(edges: DataFrame, dense: Dataset[BRow],
            srcCol: String, dstCol: String, wCol: String = "w"): Dataset[BRow] = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    edges
-      .select(col(srcCol).cast("long").as("sid"),
-              col(dstCol).cast("long").as("did"),
-              col(wCol).cast("double").as("w"))
-      .join(dense.toDF("sid", "svec"), "sid")
-      .select($"did", $"w", $"svec")
-      .as[(Long, Double, Array[Double])]
-      .map { case (did, w, v) => (did, Local.axpy(w, v)) }
-      .groupByKey(_._1)
-      .reduceGroups { (a, b) => (a._1, Local.addInPlace(a._2, b._2)) }
-      .map { case (_, (id, vec)) => BRow(id, vec) }
+    val op = SparseOp(edges, srcCol, dstCol, wCol)
+    SparseOp.toDataset(op.mul(op.coPartition(dense)))
   }
 
   /** Reshape a flat row-major accumulator into a Mat. */
-  private def unflatten(flat: Array[Double], cols: Int): Local.Mat =
+  private[linalg] def unflatten(flat: Array[Double], cols: Int): Local.Mat =
     flat.grouped(cols).toArray
+
+  /** Add the outer product `xᵀ y` into a flat row-major `|x| × |y|` accumulator. */
+  private[linalg] def outerInto(acc: Array[Double], x: Array[Double], y: Array[Double]): Unit = {
+    val cols = y.length
+    var i = 0
+    while (i < x.length) {
+      val xi = x(i)
+      if (xi != 0.0) {
+        val base = i * cols
+        var j = 0
+        while (j < cols) { acc(base + j) += xi * y(j); j += 1 }
+      }
+      i += 1
+    }
+  }
+
+  /** Sum per-partition partial results in partition order. `RDD.reduce` and
+    * `Dataset.reduce` merge partials in the order tasks finish, so their
+    * floating-point sums can differ from run to run; collecting the partials
+    * and folding them in a fixed order cannot.
+    */
+  private[linalg] def sumInOrder(parts: Array[Array[Double]]): Array[Double] =
+    parts.reduceLeft(Local.addInPlace)
 
   /** Gram matrix `XᵀX` collected to the driver (β×β). */
   def gram(x: Dataset[BRow]): Local.Mat = {
     val spark = x.sparkSession
     import spark.implicits._
-    val flat = x.mapPartitions { it =>
+    val parts = x.mapPartitions { it =>
       var acc: Array[Double] = null
-      var dim = 0
       it.foreach { r =>
-        val v = r.vec
-        if (acc == null) { dim = v.length; acc = new Array[Double](dim * dim) }
-        var i = 0
-        while (i < dim) {
-          val vi = v(i)
-          if (vi != 0.0) {
-            val base = i * dim
-            var j = 0
-            while (j < dim) { acc(base + j) += vi * v(j); j += 1 }
-          }
-          i += 1
-        }
+        if (acc == null) acc = new Array[Double](r.vec.length * r.vec.length)
+        outerInto(acc, r.vec, r.vec)
       }
-      if (acc == null) Iterator.empty else Iterator.single(acc)
-    }.reduce(Local.addInPlace _)
-    unflatten(flat, math.sqrt(flat.length.toDouble).round.toInt)
+      Option(acc).iterator
+    }.collect()
+    unflatten(sumInOrder(parts), math.sqrt(parts.head.length.toDouble).round.toInt)
   }
 
   /** Pair Gram `XᵀY` (inner join on id) collected to the driver (β_x × β_y). */
   def pairGram(x: Dataset[BRow], y: Dataset[BRow]): Local.Mat = {
     val spark = x.sparkSession
     import spark.implicits._
-    var yCols = -1
-    val flat = x.toDF("id", "xvec").join(y.toDF("id", "yvec"), "id")
+    val parts = x.toDF("id", "xvec").join(y.toDF("id", "yvec"), "id")
       .select($"xvec", $"yvec").as[(Array[Double], Array[Double])]
       .mapPartitions { it =>
         var acc: Array[Double] = null
-        var rows = 0; var cols = 0
+        var cols = 0
         it.foreach { case (xv, yv) =>
-          if (acc == null) { rows = xv.length; cols = yv.length; acc = new Array[Double](rows * cols + 1) }
-          var i = 0
-          while (i < rows) {
-            val xi = xv(i)
-            if (xi != 0.0) {
-              val base = i * cols
-              var j = 0
-              while (j < cols) { acc(base + j) += xi * yv(j); j += 1 }
-            }
-            i += 1
-          }
-          acc(rows * cols) = cols.toDouble // carry cols for driver reshape
+          if (acc == null) { cols = yv.length; acc = new Array[Double](xv.length * cols) }
+          outerInto(acc, xv, yv)
         }
-        if (acc == null) Iterator.empty else Iterator.single(acc)
-      }.reduce { (a, b) =>
-        var i = 0
-        while (i < a.length - 1) { a(i) += b(i); i += 1 }
-        a
-      }
-    yCols = flat.last.round.toInt
-    unflatten(flat.dropRight(1), yCols)
+        Option(acc).iterator.map(a => (cols, a))
+      }.collect()
+    unflatten(sumInOrder(parts.map(_._2)), parts.head._1)
   }
 
   /** Right-multiply every row by a local matrix: `out_i = x_i · M`. */
@@ -153,15 +141,19 @@ object Block {
   /** Orthonormalise the columns of X via Gram + Cholesky (`X ← X R⁻¹`).
     * A small ridge keeps the Cholesky stable when columns nearly collapse.
     */
-  def orthonormalize(x: Dataset[BRow]): Dataset[BRow] = {
-    val g = gram(x)
+  def orthonormalize(x: Dataset[BRow]): Dataset[BRow] = timesLocal(x, rInverse(gram(x)))
+
+  /** `R⁻¹` of the Cholesky factor `Rᵀ R` of a Gram matrix plus a small ridge,
+    * so that `X R⁻¹` has orthonormal columns.
+    */
+  private[linalg] def rInverse(gram: Local.Mat): Local.Mat = {
+    val g = gram.map(_.clone())
     val n = g.length
     val tr = (0 until n).map(i => g(i)(i)).sum
     val ridge = math.max(tr, 1.0) * 1e-12
     var i = 0
     while (i < n) { g(i)(i) += ridge; i += 1 }
-    val rInv = Local.invUpper(Local.choleskyUpper(g))
-    timesLocal(x, rInv)
+    Local.invUpper(Local.choleskyUpper(g))
   }
 
   /** Fix the sign of every column so its maximum-|·| entry is positive — the
@@ -183,8 +175,8 @@ object Block {
           i += 1
         }
       }
-      if (acc == null) Iterator.empty else Iterator.single(acc)
-    }.reduce { (a, b) =>
+      Option(acc).iterator
+    }.collect().reduceLeft { (a, b) =>
       var i = 0
       while (i < a.length) { if (math.abs(b(i)) > math.abs(a(i))) a(i) = b(i); i += 1 }
       a

@@ -58,6 +58,19 @@ class BlockSpec extends SparkSpec {
     assert(Local.maxAbsDiff(g, expected) < 1e-10)
   }
 
+  test("gram is bit-identical across calls on an 8-partition block") {
+    val rnd = new Random(6)
+    val rows = (0L until 400L).map(i => i -> Array.fill(6)(rnd.nextGaussian() * 1e3)).toMap
+    val x = mkDense(rows).repartition(8).cache()
+    assert(x.rdd.getNumPartitions == 8)
+    val first = Block.gram(x)
+    for (_ <- 0 until 5) {
+      val again = Block.gram(x)
+      assert(first.indices.forall(i => first(i).sameElements(again(i))))
+    }
+    x.unpersist()
+  }
+
   test("pairGram equals XᵀY with join semantics") {
     val rnd = new Random(7)
     val x = (0L until 20L).map(i => i -> Array.fill(3)(rnd.nextGaussian())).toMap

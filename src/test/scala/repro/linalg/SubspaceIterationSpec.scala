@@ -26,8 +26,7 @@ class SubspaceIterationSpec extends SparkSpec {
     val m = randomPsd(n, 42)
     val edges = asEdges(m)
     val ids = (0L until n.toLong).toDF("id")
-    val op = (y: org.apache.spark.sql.Dataset[BRow]) => Block.spmm(edges, y, "src", "dst")
-    val (_, lam) = SubspaceIteration.topEig(op, ids, 5, 30, seed = 9)
+    val (_, lam) = SubspaceIteration.topEig(edges, "src", "dst", "w", ids, 5, 30, seed = 9)
     val (_, exact) = Local.symEigDesc(m)
     for (i <- 0 until 5)
       assert(math.abs(lam(i) - exact(i)) < 1e-4, s"eig $i: ${lam(i)} vs ${exact(i)}")
@@ -39,10 +38,9 @@ class SubspaceIterationSpec extends SparkSpec {
     val m = randomPsd(n, 7)
     val edges = asEdges(m)
     val ids = (0L until n.toLong).toDF("id")
-    val op = (y: org.apache.spark.sql.Dataset[BRow]) => Block.spmm(edges, y, "src", "dst")
-    val (vecs, lam) = SubspaceIteration.topEig(op, ids, 3, 40, seed = 1)
+    val (vecs, lam) = SubspaceIteration.topEig(edges, "src", "dst", "w", ids, 3, 40, seed = 1)
     val v = Block.collectMap(vecs)
-    val av = Block.collectMap(op(vecs))
+    val av = Block.collectMap(Block.spmm(edges, vecs, "src", "dst"))
     for (id <- 0L until n.toLong; j <- 0 until 3)
       assert(math.abs(av(id)(j) - lam(j) * v(id)(j)) < 1e-3)
   }
@@ -52,9 +50,23 @@ class SubspaceIterationSpec extends SparkSpec {
     val n = 20
     val edges = asEdges(randomPsd(n, 13))
     val ids = (0L until n.toLong).toDF("id")
-    val op = (y: org.apache.spark.sql.Dataset[BRow]) => Block.spmm(edges, y, "src", "dst")
-    val (vecs, _) = SubspaceIteration.topEig(op, ids, 4, 25, seed = 5)
+    val (vecs, _) = SubspaceIteration.topEig(edges, "src", "dst", "w", ids, 4, 25, seed = 5)
     assert(Local.maxAbsDiff(Block.gram(vecs), Local.eye(4)) < 1e-6)
+  }
+
+  test("topEig with a shift finds the algebraically largest eigenvalues") {
+    import sp.implicits._
+    val n = 20
+    val rnd = new scala.util.Random(17)
+    val a = Array.fill(n)(Array.fill(n)(rnd.nextGaussian() / math.sqrt(n.toDouble)))
+    val m = Local.scale(Local.add(a, Local.transpose(a)), 0.5) // symmetric, indefinite
+    val ids = (0L until n.toLong).toDF("id")
+    val (_, lam) = SubspaceIteration.topEig(asEdges(m), "src", "dst", "w", ids, 3, 60,
+                                            seed = 4, shift = 3.0)
+    val (_, exact) = Local.symEigDesc(m)
+    assert(exact.last < 0)
+    for (i <- 0 until 3)
+      assert(math.abs(lam(i) - exact(i)) < 1e-4, s"eig $i: ${lam(i)} vs ${exact(i)}")
   }
 
   test("topLeftSingular matches exact SVD singular values") {
@@ -88,5 +100,20 @@ class SubspaceIterationSpec extends SparkSpec {
     val (_, s1) = SubspaceIteration.topLeftSingular(edges, "r", "c", "w", ids, 3, 20, 77)
     val (_, s2) = SubspaceIteration.topLeftSingular(edges, "r", "c", "w", ids, 3, 20, 77)
     assert(s1.sameElements(s2))
+  }
+
+  test("topLeftSingular releases every RDD it persisted but the result") {
+    import sp.implicits._
+    val rnd = new scala.util.Random(37)
+    val edges = (for (i <- 0 until 30; j <- 0 until 20 if rnd.nextDouble() < 0.3)
+      yield (i.toLong, j.toLong, rnd.nextDouble())).toDF("r", "c", "w")
+    val ids = edges.select(org.apache.spark.sql.functions.col("r").as("id")).distinct()
+    val sc = sp.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val (vecs, _) = SubspaceIteration.topLeftSingular(edges, "r", "c", "w", ids, 3, 4, 1)
+    assert(vecs.count() == ids.count())
+    val added = sc.getPersistentRDDs.filter { case (id, _) => !before.contains(id) }.values
+    assert(added.size <= 1, s"still persisted: ${added.mkString(", ")}")
+    assert(added.forall(_.isCheckpointed))
   }
 }
