@@ -1,7 +1,6 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.data.Catalog
 
 /** spark-submit entrypoint reproducing Table 2 (dataset statistics) over the

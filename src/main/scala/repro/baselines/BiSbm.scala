@@ -35,8 +35,6 @@ object BiSbm {
       }
     }
 
-    private def h(x: Double): Double = if (x > 0) x * math.log(x) else 0.0
-
     def logLik: Double = {
       var l = 0.0
       var r = 0

@@ -41,7 +41,7 @@ object DataClustering {
       var sample = rows.sample(withReplacement = false, frac, seed).take(sampleSize).map(_.vec)
       if (sample.length < k) sample = rows.take(sampleSize).map(_.vec)
 
-      var medoids = KMeansD.plusPlusSeed(sample, k, seed)
+      val medoids = KMeansD.plusPlusSeed(sample, k, seed)
       var moved = true
       var pass = 0
       while (moved && pass < 8) {

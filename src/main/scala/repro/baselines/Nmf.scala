@@ -1,8 +1,9 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.linalg.{BRow, Block, Local}
+import repro.core.BipartiteGraph
+import repro.linalg.{Block, Local, SparseOp}
+import repro.linalg.SparseOp.Rows
 
 /** NMF baseline [61]: rank-k non-negative factorisation `A ≈ W Hᵀ` by
   * distributed multiplicative updates; cluster(u) = argmax_j W[u,j].
@@ -10,46 +11,39 @@ import repro.linalg.{BRow, Block, Local}
   *   W ← W ∘ (A H) / (W (HᵀH) + ε)
   *   H ← H ∘ (Aᵀ W) / (H (WᵀW) + ε)
   *
-  * `A H` and `Aᵀ W` are sparse×dense multiplies (`Block.spmm`); the k×k
-  * Grams are local. This is fully distributed — NMF is one of the few
-  * competitors that survives the large datasets in the paper.
+  * `A H` and `Aᵀ W` are products with the graph's operator, held for the
+  * whole call, on blocks co-partitioned with it; the k×k Grams are local.
+  * This is fully distributed — NMF is one of the few competitors that
+  * survives the large datasets in the paper.
   */
 object NmfBaseline extends Baseline {
   val name = "NMF"
   val iterations = 30
 
   def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-    val spark2 = spark
-    import spark2.implicits._
-    val e = edges.cache()
-    val uIds = e.select(col("u").as("id")).distinct()
-    val vIds = e.select(col("v").as("id")).distinct()
-
-    def positiveBlock(ids: DataFrame, s: Long) =
-      Block.gaussianBlock(ids, k, s).map(r => BRow(r.id, r.vec.map(x => math.abs(x) + 0.1)))
-
-    var w = positiveBlock(uIds, seed).transform(repro.linalg.Block.localize)
-    var h = positiveBlock(vIds, seed + 1).transform(repro.linalg.Block.localize)
-    val eps = 1e-9
-
-    var t = 0
-    while (t < iterations) {
-      val hGram = Block.gram(h) // HᵀH, k×k
-      val ah = Block.spmm(e, h, srcCol = "v", dstCol = "u", wCol = "w") // A H
-      w = w.toDF("id", "wv").join(ah.toDF("id", "num"), Seq("id"), "left")
-        .as[(Long, Array[Double], Array[Double])]
-        .map { case (id, wv, num) => BRow(id, muUpdate(wv, num, hGram, eps)) }
-        .transform(repro.linalg.Block.localize)
-      val wGram = Block.gram(w)
-      val atw = Block.spmm(e, w, srcCol = "u", dstCol = "v", wCol = "w") // Aᵀ W
-      h = h.toDF("id", "hv").join(atw.toDF("id", "num"), Seq("id"), "left")
-        .as[(Long, Array[Double], Array[Double])]
-        .map { case (id, hv, num) => BRow(id, muUpdate(hv, num, wGram, eps)) }
-        .transform(repro.linalg.Block.localize)
-      t += 1
+    import spark.implicits._
+    BipartiteGraph.withOperator(edges) { a =>
+      def positive(s: Long)(id: Long) = Local.gaussianVec(s, id, k).map(x => math.abs(x) + 0.1)
+      val eps = 1e-9
+      def update(x: Rows, num: Rows, gram: Local.Mat): Rows =
+        SparseOp.zipRows(x, num)(muUpdate(_, _, gram, eps)).persist(SparseOp.Level)
+      var w = a.block(positive(seed)).persist(SparseOp.Level)
+      var h = a.t.block(positive(seed + 1)).persist(SparseOp.Level)
+      var prevH = Option.empty[Rows] // read until the Gram of `h` has materialised it
+      var t = 0
+      while (t < iterations) {
+        val hGram = SparseOp.gram(h) // HᵀH, k×k
+        prevH.foreach(_.unpersist())
+        val w2 = update(w, a.mulT(h), hGram) // A H
+        val wGram = SparseOp.gram(w2)
+        w.unpersist(); w = w2
+        prevH = Some(h); h = update(h, a.mul(w), wGram) // Aᵀ W
+        t += 1
+      }
+      val out = Block.localize(w.map { case (id, v) => (id, Local.argmax(v)) }.toDF("id", "cluster"))
+      (w :: h :: prevH.toList).foreach(_.unpersist())
+      out
     }
-    e.unpersist()
-    w.map(r => (r.id, Local.argmax(r.vec))).toDF("id", "cluster")
   }
 
   /** One multiplicative update of a factor row: `x ∘ num / (x·G + ε)`. */

@@ -1,8 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.functions._
-import repro.linalg.{BRow, Block}
+import repro.core.BipartiteGraph
+import repro.linalg.{BRow, Block, Local, SparseOp}
 
 /** Johnson–Lindenstrauss sketches of biadjacency rows.
   *
@@ -14,12 +14,14 @@ import repro.linalg.{BRow, Block}
   */
 object Projections {
 
-  /** Project U-side rows of the (optionally row-normalised) biadjacency. */
+  /** Project U-side rows of the (optionally row-normalised) biadjacency: one
+    * product with the graph's operator, whose column copy also supplies R's
+    * row ids.
+    */
   def uRows(edges: DataFrame, dim: Int, seed: Long,
             rowNormalize: Boolean = true): Dataset[BRow] = {
-    val vIds = edges.select(col("v").as("id")).distinct()
-    val r = Block.rademacherBlock(vIds, dim, seed)
-    val proj = Block.spmm(edges, r, srcCol = "v", dstCol = "u", wCol = "w")
+    val a = BipartiteGraph.operator(edges)
+    val proj = SparseOp.toDataset(a.mulT(a.t.block(Local.rademacherVec(seed, _, dim))))
     if (rowNormalize) Block.normalizeRows(proj) else proj
   }
 }

@@ -1,9 +1,9 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.KMeansD
-import repro.linalg.{BRow, Block}
+import repro.core.{BipartiteGraph, KMeansD}
+import repro.linalg.{BRow, Block, Local, SparseOp}
+import repro.linalg.SparseOp.Rows
 
 /** Random-walk proximity baselines: PPR [56] and NRP [64].
   *
@@ -13,6 +13,11 @@ import repro.linalg.{BRow, Block}
   * `Z_{t+1} = (1-α)R + α P Z_t`, exactly the PPR geometry each method's
   * k-means sees (DESIGN.md §2). NRP additionally reweights by √degree, the
   * spirit of its PPR reweighting.
+  *
+  * On a bipartite graph `P_full = [[0, D_u⁻¹A], [D_v⁻¹Aᵀ, 0]]`, so the U
+  * half of `Z_t` reads only the V half of `Z_{t-1}` and vice versa: the U
+  * rows after an even number of steps come from one alternating chain
+  * U → V → U → … of products with the two views of the graph's operator.
   */
 object RandomWalkEmb {
 
@@ -20,61 +25,39 @@ object RandomWalkEmb {
   // Decay 0.5 keeps the PPR mass local (FORA-style restart probabilities);
   // larger decay blurs cluster structure into the stationary distribution.
   private val Alpha = 0.5
-  private val Steps = 8
+  private val Steps = 8 // even: the chain ends on the U side
 
-  /** Symmetric random-walk transition edges over U ∪ V (V offset). */
-  private def transitionEdges(edges: DataFrame): (DataFrame, Long) = {
-    val offset = edges.agg(max("u")).head.getLong(0) + 1L
-    val du = edges.groupBy("u").agg(sum("w").as("du"))
-    val dv = edges.groupBy("v").agg(sum("w").as("dv"))
-    val j = edges.join(du, "u").join(dv, "v")
-    val uv = j.select(col("u").as("dst"), (col("v") + offset).as("src"),
-                      (col("w") / col("du")).as("w")) // p(u,v) = w/du
-    val vu = j.select((col("v") + offset).as("dst"), col("u").as("src"),
-                      (col("w") / col("dv")).as("w")) // p(v,u) = w/dv
-    // Row i of P holds p(i, ·); our spmm computes out[dst] = Σ_src w·y[src],
-    // i.e. (P y) when edges are stored as (src = j, dst = i, p(i,j)).
-    (uv.unionByName(vu), offset)
-  }
-
-  private def pprSketch(edges: DataFrame, seed: Long): (Dataset[BRow], Long) = {
-    val (p, offset) = transitionEdges(edges)
-    val pc = p.cache()
-    val ids = pc.select(col("dst").as("id")).distinct()
-    val r0 = Block.rademacherBlock(ids, SketchDim, seed).transform(repro.linalg.Block.localize)
-    val spark = edges.sparkSession
-    import spark.implicits._
-    var z = r0
-    var t = 0
+  /** The U rows of `Z_Steps − (1-α)R`, each scaled by `d_u^(1+uPow)`, read
+    * from the graph's operator `a`.
+    *
+    * The restart term of a step is `(1-α)R` with R's rows a pure function of
+    * (side, seed, id), drawn where they are added. Dropping the final
+    * self-restart term `(1-α)·R_u` leaves `α D_u⁻¹A Z_V`: its i.i.d. random
+    * vectors would dominate pairwise distances and drown the neighbourhood
+    * signal — the sketch then approximates the OFF-diagonal PPR mass, which
+    * is what the clustering actually compares. `uPow` is the row power of
+    * that last product (−1 for `D_u⁻¹A`).
+    */
+  private def pprSketch(a: SparseOp, seed: Long, uPow: Double): Dataset[BRow] = {
+    // A function value, not a method: task closures must not capture this object.
+    val r = (side: Long, id: Long) => Local.rademacherVec(seed + side, id, SketchDim)
+    // z ↦ (1-α)·R + α·z per row, R of the given side.
+    def restart(side: Long)(z: Rows): Rows =
+      z.mapPartitions(_.map { case (id, pz) =>
+        val out = Local.axpy(1 - Alpha, r(side, id))
+        var i = 0
+        while (i < out.length) { out(i) += Alpha * pz(i); i += 1 }
+        (id, out)
+      }, preservesPartitioning = true)
+    val toV = a.scaled(0.0, -1.0) // mul: D_v⁻¹Aᵀ, from U rows to V rows
+    val toU = a.scaled(-1.0, 0.0) // mulT: D_u⁻¹A, from V rows to U rows
+    var z = a.block(r(0L, _))
+    var t = 1
     while (t < Steps) {
-      val pz = Block.spmm(pc, z, srcCol = "src", dstCol = "dst")
-      z = r0.toDF("id", "rv").join(pz.toDF("id", "pv"), Seq("id"), "left")
-        .as[(Long, Array[Double], Array[Double])]
-        .map { case (id, rv, pv) =>
-          val out = new Array[Double](rv.length)
-          var i = 0
-          while (i < rv.length) {
-            out(i) = (1 - Alpha) * rv(i) + Alpha * (if (pv == null) 0.0 else pv(i))
-            i += 1
-          }
-          BRow(id, out)
-        }.transform(repro.linalg.Block.localize)
+      z = if (t % 2 == 1) restart(1L)(toV.mul(z)) else restart(0L)(toU.mulT(z))
       t += 1
     }
-    // Drop the self-restart term (1-α)·R_i: its i.i.d. random vectors would
-    // dominate pairwise distances and drown the neighbourhood signal — the
-    // sketch then approximates the OFF-diagonal PPR mass, which is what the
-    // clustering actually compares.
-    val noSelf = z.toDF("id", "zv").join(r0.toDF("id", "rv"), "id")
-      .as[(Long, Array[Double], Array[Double])]
-      .map { case (id, zv, rv) =>
-        val out = new Array[Double](zv.length)
-        var i = 0
-        while (i < zv.length) { out(i) = zv(i) - (1 - Alpha) * rv(i); i += 1 }
-        BRow(id, out)
-      }.transform(repro.linalg.Block.localize)
-    pc.unpersist()
-    (noSelf, offset)
+    SparseOp.toDataset(a.scaled(uPow, 0.0).mulT(z).mapValues(v => Local.axpy(Alpha, v)))
   }
 
   /** PPR: k-means over sketched PPR vectors of the U side. */
@@ -82,35 +65,20 @@ object RandomWalkEmb {
     val name = "PPR"
     override def feasible(paperEdges: Long, k: Int): Boolean = paperEdges <= 4000000L // paper: "-" on MIND and larger
 
-    def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-      val (z, offset) = pprSketch(edges, seed)
-      val spark2 = spark
-      import spark2.implicits._
-      val uRows = z.filter(_.id < offset)
-      KMeansD.run(Block.normalizeRows(uRows), k, seed = seed)
-    }
+    def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
+      BipartiteGraph.withOperator(edges) { a =>
+        KMeansD.run(Block.normalizeRows(pprSketch(a, seed, uPow = -1.0)), k, seed = seed)
+      }
   }
 
-  /** NRP: degree-reweighted PPR embedding (survives all datasets in paper). */
+  /** NRP: degree-reweighted PPR embedding (survives all datasets in paper):
+    * the U rows scaled by `√d_u`, i.e. a last product with `D_u^{-1/2}A`.
+    */
   object NRP extends Baseline {
     val name = "NRP"
 
-    def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-      val (z, offset) = pprSketch(edges, seed)
-      val spark2 = spark
-      import spark2.implicits._
-      val du = edges.groupBy("u").agg(sum("w").as("du"))
-        .select(col("u").as("id"), col("du"))
-      val uRows = z.filter(_.id < offset).toDF("id", "vec")
-        .join(du, "id")
-        .select(col("id"), col("vec"), col("du"))
-        .as[(Long, Array[Double], Double)]
-        .map { case (id, v, d) =>
-          val s = math.sqrt(d)
-          BRow(id, v.map(_ * s))
-        }
-      // No row normalisation: NRP's reweighting keeps the degree magnitude.
-      KMeansD.run(uRows, k, seed = seed)
-    }
+    // No row normalisation: NRP's reweighting keeps the degree magnitude.
+    def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
+      BipartiteGraph.withOperator(edges)(a => KMeansD.run(pprSketch(a, seed, uPow = -0.5), k, seed = seed))
   }
 }

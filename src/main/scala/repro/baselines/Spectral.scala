@@ -2,12 +2,14 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.KMeansD
-import repro.linalg.{BRow, Block, SubspaceIteration}
+import repro.core.{BipartiteGraph, KMeansD}
+import repro.linalg.{Block, SparseOp, SubspaceIteration}
+import repro.linalg.SparseOp.Rows
 
 /** Spectral baselines: SC [55], SCC (Dhillon [12]) and SBC (Kluger [31]).
-  * All use the shared `SubspaceIteration` engine — same trick as HOPE, so
-  * comparisons are apples-to-apples on the eigen-solver.
+  * All use the shared `SubspaceIteration` engine on a degree-scaled view of
+  * the graph's operator — same trick as HOPE, so comparisons are
+  * apples-to-apples on the eigen-solver.
   *
   * SC and SCC follow their ORIGINAL recipes (the paper runs the published
   * algorithms): SC clusters the whole unipartite vertex set U ∪ V into k
@@ -20,69 +22,58 @@ object SpectralBaselines {
 
   private val PowerIters = 10
 
+  /** `f` applied to Dhillon's co-embedding: the top `n` singular triplets
+    * `(u_i, σ_i, v_i)` of `An = D_u^{-1/2} A D_v^{-1/2}`, as the block U over
+    * u ids and the block `V = Anᵀ U Σ⁻¹` under ids `−1−v`, so U ∪ V is one
+    * id space. As in [[SubspaceIteration.topLeftSingular]], `f` materialises
+    * what it returns.
+    */
+  private[baselines] def coEmbedding[T](a: SparseOp, n: Int, seed: Long)(f: (Rows, Rows) => T): T = {
+    val an = a.scaled(-0.5, -0.5)
+    SubspaceIteration.topLeftSingular(an, n, PowerIters, seed) { (u, sv) =>
+      val inv = sv.map(s => if (s > 1e-12) 1.0 / s else 0.0)
+      f(u, an.mul(u).map { case (id, x) => (-1L - id, Array.tabulate(x.length)(j => x(j) * inv(j))) })
+    }
+  }
+
+  /** Joint k-means over the row-normalised co-embedding of U ∪ V, with the
+    * first `drop` vectors left out; returns the U memberships.
+    */
+  private def coCluster(edges: DataFrame, k: Int, n: Int, drop: Int, seed: Long): DataFrame =
+    BipartiteGraph.withOperator(edges) { a =>
+      coEmbedding(a, n, seed) { (u, v) =>
+        val joint = SparseOp.toDataset(u.union(v).mapValues(_.drop(drop)))
+        KMeansD.run(Block.normalizeRows(joint), k, seed = seed).where(col("id") >= 0)
+      }
+    }
+
   /** Spectral clustering of the bipartite graph viewed as a unipartite graph:
     * top-k eigenvectors of the symmetrically normalised adjacency
-    * `D^{-1/2} A D^{-1/2}` over U ∪ V, k-means over ALL vertices.
+    * `N = [[0, An], [Anᵀ, 0]]` over U ∪ V, k-means over ALL vertices. N's
+    * top-k eigenvectors are `[u_i; v_i]/√2` for An's top-k singular triplets
+    * (eigenvalue σ_i), so this is SCC's SVD route with k vectors, none
+    * dropped; the 1/√2 cancels in the row normalisation.
     */
   object SC extends Baseline {
     val name = "SC"
     override def feasible(paperEdges: Long, k: Int): Boolean = paperEdges <= 4000000L
 
-    def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-      val offset = edges.agg(max("u")).head.getLong(0) + 1L
-      val du = edges.groupBy("u").agg(sum("w").as("du"))
-      val dv = edges.groupBy("v").agg(sum("w").as("dv"))
-      val norm = edges.join(du, "u").join(dv, "v")
-        .select(col("u"), (col("v") + offset).as("v2"),
-                (col("w") / sqrt(col("du") * col("dv"))).as("wn"))
-      val sym = norm.select(col("u").as("src"), col("v2").as("dst"), col("wn").as("w"))
-        .unionByName(norm.select(col("v2").as("src"), col("u").as("dst"), col("wn").as("w")))
-        .cache()
-      val ids = sym.select(col("src").as("id")).distinct()
-      // The normalised adjacency is symmetric but indefinite; shift by +I to
-      // make it PSD so power iteration targets its algebraically largest
-      // eigenvectors (the shift leaves eigenvectors unchanged).
-      val (vecs, _) = SubspaceIteration.topEig(sym, "src", "dst", "w", ids, k, PowerIters, seed,
-                                               shift = 1.0)
-      // Joint k-means over U ∪ V (the unipartite treatment), then read off U.
-      val assignAll = KMeansD.run(Block.normalizeRows(vecs), k, seed = seed)
-      sym.unpersist()
-      assignAll.where(col("id") < offset)
-    }
+    def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
+      coCluster(edges, k, n = k, drop = 0, seed)
   }
 
   /** Dhillon's spectral co-clustering: `An = D_u^{-1/2} A D_v^{-1/2}`,
     * ℓ = ⌈log₂ k⌉ singular vectors (2..ℓ+1), joint k-means over the stacked
-    * U and V embeddings.
+    * U and V embeddings (the leading vector on both sides is the trivial
+    * degree direction and is dropped).
     */
   object SCC extends Baseline {
     val name = "SCC"
     override def feasible(paperEdges: Long, k: Int): Boolean = paperEdges <= 4000000L
 
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-      val spark2 = spark
-      import spark2.implicits._
       val ell = math.max(1, math.ceil(math.log(k.toDouble) / math.log(2.0)).toInt)
-      val du = edges.groupBy("u").agg(sum("w").as("du"))
-      val dv = edges.groupBy("v").agg(sum("w").as("dv"))
-      val an = edges.join(du, "u").join(dv, "v")
-        .select(col("u"), col("v"), (col("w") / sqrt(col("du") * col("dv"))).as("an"))
-        .cache()
-      val uIds = edges.select(col("u").as("id")).distinct()
-      val (uVecs, sv) = SubspaceIteration.topLeftSingular(
-        an, rowCol = "u", colCol = "v", wCol = "an", uIds, ell + 1, PowerIters, seed)
-      // Right singular vectors: V = Anᵀ U Σ⁻¹ (drop the leading vector on
-      // both sides — it is the trivial degree direction).
-      val inv = sv.map(s => if (s > 1e-12) 1.0 / s else 0.0)
-      val vVecs = Block.scaleCols(
-        Block.spmm(an, uVecs, srcCol = "u", dstCol = "v", wCol = "an"), inv)
-      val offset = edges.agg(max("u")).head.getLong(0) + 1L
-      val uEmb = uVecs.map(r => BRow(r.id, r.vec.drop(1)))
-      val vEmb = vVecs.map(r => BRow(r.id + offset, r.vec.drop(1)))
-      val joint = uEmb.union(vEmb)
-      val assignAll = KMeansD.run(Block.normalizeRows(joint), k, seed = seed)
-      an.unpersist()
-      assignAll.where(col("id") < offset)
+      coCluster(edges, k, n = ell + 1, drop = 1, seed)
     }
   }
 
@@ -94,15 +85,11 @@ object SpectralBaselines {
     val name = "SBC"
     override def feasible(paperEdges: Long, k: Int): Boolean = paperEdges <= 4000000L
 
-    def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-      val du = edges.groupBy("u").agg(sum("w").as("du"))
-      val dv = edges.groupBy("v").agg(sum("w").as("dv"))
-      val an = edges.join(du, "u").join(dv, "v")
-        .select(col("u"), col("v"), (col("w") / (col("du") * col("dv"))).as("an"))
-      val uIds = edges.select(col("u").as("id")).distinct()
-      val (vecs, _) = SubspaceIteration.topLeftSingular(
-        an, rowCol = "u", colCol = "v", wCol = "an", uIds, k, PowerIters, seed)
-      KMeansD.run(Block.normalizeRows(vecs), k, seed = seed)
-    }
+    def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
+      BipartiteGraph.withOperator(edges) { a =>
+        SubspaceIteration.topLeftSingular(a.scaled(-1.0, -1.0), k, PowerIters, seed) { (u, _) =>
+          KMeansD.run(Block.normalizeRows(SparseOp.toDataset(u)), k, seed = seed)
+        }
+      }
   }
 }

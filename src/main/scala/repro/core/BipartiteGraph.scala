@@ -2,20 +2,48 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.linalg.SparseOp
 
-/** Construction of the paper's matrices from a weighted bipartite edge list.
+/** The paper's matrices over a weighted bipartite edge list.
   *
   * Edge DataFrames have columns `u: Long`, `v: Long`, `w: Double` with
-  * non-negative weights and (by generator contract) min-degree ≥ 1 on both
-  * sides. All derived matrices stay sparse edge lists:
+  * positive weights. Every matrix the algorithms use is a degree scaling of
+  * the biadjacency A, applied as a view of one [[SparseOp]] built from the
+  * raw edges ([[operator]]):
   *
-  *  - `P[i,j] = p(u_i, v_j) = w(u_i,v_j) / Σ_l w(u_i,v_l)`      (Eq. 1)
-  *  - `Q[j,i] = sqrt(p(v_j,u_i)·p(u_i,v_j)) = w / sqrt(du·dv)`  (Table 1)
+  *  - `P[i,j] = p(u_i, v_j) = w(u_i,v_j) / Σ_l w(u_i,v_l)`, `P = D_u⁻¹A` (Eq. 1)
+  *  - `Q[j,i] = sqrt(p(v_j,u_i)·p(u_i,v_j)) = w / sqrt(du·dv)`,
+  *    `Q = (D_u^{-1/2} A D_v^{-1/2})ᵀ`                            (Table 1)
   *
   * and the WPG weight matrix is `W_V = Q Qᵀ` (Eq. 4) — only ever used in
-  * operator form, never materialised.
+  * operator form, never materialised. The edge lists of P, Q and the WPG
+  * below are kept for tests, the DuckDB oracle and the benchmark's probes.
   */
 object BipartiteGraph {
+
+  /** The operator of A (rows u, columns v, entries w), uncached.
+    *
+    * @throws IllegalArgumentException naming the first bad edge in (u, v)
+    *         order if a weight is NaN, infinite or ≤ 0, or an id is < 0 —
+    *         the degree scalings would turn it into NaN or ∞ everywhere
+    */
+  def operator(edges: DataFrame): SparseOp = {
+    val ok = col("u") >= 0 && col("v") >= 0 && col("w") > 0 && !isnan(col("w")) &&
+      col("w") < Double.PositiveInfinity
+    edges.where(!coalesce(ok, lit(false))).orderBy("u", "v").select("u", "v", "w").head(1).foreach { e =>
+      throw new IllegalArgumentException(
+        s"bad edge (u=${e.get(0)}, v=${e.get(1)}, w=${e.get(2)}): ids must be ≥ 0 and weights finite and > 0")
+    }
+    SparseOp(edges, "u", "v", "w")
+  }
+
+  /** `f` applied to the graph's [[operator]], cached for the duration of
+    * the call; `f` materialises whatever it returns that reads the operator.
+    */
+  def withOperator[T](edges: DataFrame)(f: SparseOp => T): T = {
+    val a = operator(edges).cache()
+    try f(a) finally a.unpersist()
+  }
 
   /** Weighted out-degrees of the U side: `(u, du)`. */
   def uDegrees(edges: DataFrame): DataFrame =
@@ -43,7 +71,7 @@ object BipartiteGraph {
               (col("w") / sqrt(col("du") * col("dv"))).as("q"))
 
   /** Materialised WPG edge weights `w_V(v_j, v_l)` (Eq. 2/4) for tests and
-    * the Oracle — quadratic in the worst case, never used by the algorithms.
+    * the oracle — quadratic in the worst case, never used by the algorithms.
     */
   def wpgEdges(edges: DataFrame): DataFrame = {
     val q  = qEdges(edges)

@@ -1,15 +1,17 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import repro.linalg.{BRow, Block, SubspaceIteration}
+import repro.linalg.{BRow, Block, SparseOp, SubspaceIteration}
 
-/** HOPE (paper §3, Algorithm 1).
+/** HOPE (paper §3, Algorithm 1), on one operator of the biadjacency A.
   *
-  * 1. β-truncated SVD of Q → left singular vectors U, singular values Σ
-  *    (via subspace iteration on the operator `y ↦ Q(Qᵀ y)`, so neither
-  *    `Q Qᵀ` nor the HOP matrix H is materialised).
+  * 1. β-truncated SVD of `Q = (D_u^{-1/2} A D_v^{-1/2})ᵀ` → left singular
+  *    vectors U, singular values Σ (via subspace iteration on the operator
+  *    `y ↦ Q(Qᵀ y)`, so neither `Q Qᵀ` nor the HOP matrix H is materialised).
   * 2. `X̂ = P U (1-α)/(1-α Σ²)` (Eq. 8), then L2-normalise rows → X, the
-  *    low-rank approximation of the HOP matrix (Theorem 3.2).
+  *    low-rank approximation of the HOP matrix (Theorem 3.2). With
+  *    `P = D_u⁻¹A` the row normalisation cancels `D_u⁻¹`, so X is the
+  *    row-normalised `A U (1-α)/(1-α Σ²)`: one more product with A.
   * 3. k-Means over the rows of X.
   */
 object Hope {
@@ -26,22 +28,19 @@ object Hope {
   /** The low-rank HOP approximation X (Lines 1–4 of Algorithm 1), shared by
     * HOPE and HOPE+. Rows are keyed by U-side vertex id and L2-normalised.
     */
-  def embed(edges: DataFrame, k: Int, params: Params): Dataset[BRow] = {
-    val beta = params.betaFor(k)
-    val (uVecs, sigma) = SubspaceIteration.topLeftSingular(
-      BipartiteGraph.qEdges(edges), rowCol = "v", colCol = "u", wCol = "q",
-      rowIds = BipartiteGraph.vIds(edges),
-      beta = beta, powerIters = params.powerIters, seed = params.seed)
-    // Eigenvalues of QQᵀ are σ² ∈ [0,1] (Lemma 3.1 proof); clamp for safety.
-    val factors = sigma.map { s =>
-      val lam = math.min(math.max(s * s, 0.0), 1.0 - 1e-12)
-      (1.0 - params.alpha) / (1.0 - params.alpha * lam)
+  def embed(edges: DataFrame, k: Int, params: Params): Dataset[BRow] =
+    BipartiteGraph.withOperator(edges) { a =>
+      SubspaceIteration.topLeftSingular(a.scaled(-0.5, -0.5).t, params.betaFor(k), params.powerIters,
+                                        params.seed) { (uVecs, sigma) =>
+        // Eigenvalues of QQᵀ are σ² ∈ [0,1] (Lemma 3.1 proof); clamp for safety.
+        val factors = sigma.map { s =>
+          val lam = math.min(math.max(s * s, 0.0), 1.0 - 1e-12)
+          (1.0 - params.alpha) / (1.0 - params.alpha * lam)
+        }
+        val scaled = uVecs.mapValues(u => Array.tabulate(u.length)(j => u(j) * factors(j)))
+        Block.localize(Block.normalizeRows(SparseOp.toDataset(a.mulT(scaled))))
+      }
     }
-    val scaled = Block.scaleCols(uVecs, factors)
-    val p = BipartiteGraph.pEdges(edges)
-    val xHat = Block.spmm(p, scaled, srcCol = "v", dstCol = "u", wCol = "p")
-    Block.normalizeRows(xHat).transform(repro.linalg.Block.localize)
-  }
 
   /** Full HOPE: returns cluster assignments `(id, cluster)` for the U side. */
   def run(edges: DataFrame, k: Int, params: Params = Params()): DataFrame = {

@@ -104,7 +104,7 @@ object KMeansD {
     var c = 1
     while (c < k) {
       val total = d2.sum
-      var idx =
+      val idx =
         if (total <= 0) rng.nextInt(points.length)
         else {
           var r = rng.nextDouble() * total

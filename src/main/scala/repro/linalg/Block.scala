@@ -130,14 +130,6 @@ object Block {
       .map(id => BRow(id, Local.gaussianVec(seed, id, dim)))
   }
 
-  /** Deterministic ±1/√dim Rademacher block over `ids` (column "id"). */
-  def rademacherBlock(ids: DataFrame, dim: Int, seed: Long): Dataset[BRow] = {
-    val spark = ids.sparkSession
-    import spark.implicits._
-    ids.select(col("id").cast("long")).as[Long]
-      .map(id => BRow(id, Local.rademacherVec(seed, id, dim)))
-  }
-
   /** Orthonormalise the columns of X via Gram + Cholesky (`X ← X R⁻¹`).
     * A small ridge keeps the Cholesky stable when columns nearly collapse.
     */

@@ -1,6 +1,6 @@
 package repro.linalg
 
-import breeze.linalg.{DenseMatrix, DenseVector, cholesky, eigSym, svd}
+import breeze.linalg.{DenseMatrix, cholesky, eigSym, svd}
 
 /** Local (driver-side) dense linear algebra on small β×β / k×k matrices.
   *

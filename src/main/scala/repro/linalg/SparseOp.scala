@@ -22,6 +22,12 @@ import org.apache.spark.storage.StorageLevel
   * shuffle per product, none of the matrix or of the dense block. The output
   * is again a block under the same partitioner, ready for the next product.
   *
+  * One operator serves every degree scaling of its matrix A: `scaled(a, b)`
+  * is the view `D_r^a · A · D_c^b` and `t` the transposed view, both over the
+  * same two copies. `D_r` and `D_c` hold A's row and column sums, which are
+  * the row sums of the two copies, so a scaling is a per-row factor applied
+  * inside the partition that holds the row — no join and no extra shuffle.
+  *
   * Every product is deterministic: a partition accumulates its rows in id
   * order, and the partial sums of an output row are added in the order of
   * the partitions they came from, not in the order the shuffle fetched them.
@@ -35,18 +41,49 @@ import org.apache.spark.storage.StorageLevel
   * on the configured serializer.
   *
   * `cache()` persists both copies (lazily: a copy is built by the first
-  * product that reads it); the owner calls `unpersist()` when done.
+  * product that reads it); the owner calls `unpersist()` when done. Views
+  * share their copies with the operator they came from.
   */
 final class SparseOp private (private[linalg] val rows: RDD[SparseOp.Csr],
                               private[linalg] val cols: RDD[SparseOp.Csr],
-                              val partitioner: Partitioner) {
+                              val partitioner: Partitioner,
+                              rowPow: Double, colPow: Double) {
   import SparseOp._
 
-  /** `out[c] = Σ_r w(r,c) · y[r]` for a block `y` keyed by row id. */
-  def mul(y: Rows): Rows = multiply(rows, y)
+  /** The view `D_r^a · M · D_c^b` of this matrix M, where `D_r` and `D_c`
+    * are the diagonal matrices of the raw edge weights' row and column sums.
+    */
+  def scaled(a: Double, b: Double): SparseOp =
+    new SparseOp(rows, cols, partitioner, rowPow + a, colPow + b)
 
-  /** `out[r] = Σ_c w(r,c) · y[c]` for a block `y` keyed by column id. */
-  def mulT(y: Rows): Rows = multiply(cols, y)
+  /** The transposed view `Mᵀ`. */
+  def t: SparseOp = new SparseOp(cols, rows, partitioner, colPow, rowPow)
+
+  /** `out = Mᵀ y`, i.e. `out[c] = Σ_r m(r,c) · y[r]`, for a block `y` keyed
+    * by row id.
+    */
+  def mul(y: Rows): Rows = {
+    require(y.partitioner.contains(partitioner),
+      s"dense block is partitioned by ${y.partitioner}, not by the operator's $partitioner")
+    val (a, b) = (rowPow, colPow)
+    val partials = rows.zipPartitions(y) { (csrs, ys) =>
+      csrs.next().times(ys, a, TaskContext.getPartitionId())
+    }.partitionBy(partitioner)
+    // Output rows are column ids, held in the same partitions by `cols`.
+    if (b == 0.0) partials.mapPartitions(combine(_, null, 0.0), preservesPartitioning = true)
+    else partials.zipPartitions(cols, preservesPartitioning = true)((ps, cs) => combine(ps, cs.next(), b))
+  }
+
+  /** `out = M y`, i.e. `out[r] = Σ_c m(r,c) · y[c]`, for a block `y` keyed
+    * by column id.
+    */
+  def mulT(y: Rows): Rows = t.mul(y)
+
+  /** A block with one row `f(id)` per row id of the matrix, co-partitioned
+    * with it; `f` must be a pure function of the id.
+    */
+  def block(f: Long => Array[Double]): Rows =
+    rows.mapPartitions(_.next().rowIds.iterator.map(id => (id, f(id))), preservesPartitioning = true)
 
   /** Redistribute a dense row-block under this operator's partitioner. */
   def coPartition(x: Dataset[BRow]): Rows =
@@ -60,15 +97,6 @@ final class SparseOp private (private[linalg] val rows: RDD[SparseOp.Csr],
   }
 
   def unpersist(): Unit = { rows.unpersist(); cols.unpersist() }
-
-  private def multiply(a: RDD[Csr], y: Rows): Rows = {
-    require(y.partitioner.contains(partitioner),
-      s"dense block is partitioned by ${y.partitioner}, not by the operator's $partitioner")
-    a.zipPartitions(y) { (csrs, ys) =>
-      csrs.next().times(ys, TaskContext.getPartitionId())
-    }.partitionBy(partitioner)
-      .mapPartitions(combine, preservesPartitioning = true)
-  }
 }
 
 object SparseOp {
@@ -78,10 +106,12 @@ object SparseOp {
     */
   type Rows = RDD[(Long, Array[Double])]
 
-  private[linalg] val Level = StorageLevel.MEMORY_AND_DISK
+  /** Storage level of the cached copies and of persisted blocks. */
+  val Level = StorageLevel.MEMORY_AND_DISK
 
   /** Build the operator of the matrix with entries `w(row, col)`; duplicate
-    * `(row, col)` pairs add up.
+    * `(row, col)` pairs add up. Entries are taken as given: a scaled view
+    * of a matrix with a zero or negative row or column sum is not defined.
     */
   def apply(edges: DataFrame, rowCol: String, colCol: String, wCol: String = "w"): SparseOp = {
     val spark = edges.sparkSession
@@ -92,7 +122,7 @@ object SparseOp {
       e.map { case (r, c, w) => if (byRow) (r, (c, w)) else (c, (r, w)) }
         .partitionBy(p)
         .mapPartitions(it => Iterator.single(Csr(it)), preservesPartitioning = true)
-    new SparseOp(grouped(byRow = true), grouped(byRow = false), p)
+    new SparseOp(grouped(byRow = true), grouped(byRow = false), p, 0.0, 0.0)
   }
 
   /** One output row's partial sum from map partition `src`. */
@@ -106,10 +136,21 @@ object SparseOp {
                                   val colIds: Array[Long], val colIdx: Array[Int],
                                   val w: Array[Double]) extends Serializable {
 
-    /** Partial sums `Σ_r w(r,c) · y[r]` over this slice's rows, one per
-      * column reached from a row present in `ys`.
+    /** Each row's sum of weights, added in entry order. */
+    val rowSums: Array[Double] = Array.tabulate(rowIds.length) { i =>
+      var s = 0.0
+      var e = rowPtr(i)
+      while (e < rowPtr(i + 1)) { s += w(e); e += 1 }
+      s
+    }
+
+    /** `rowSums(i)^pow`, exactly 1 for `pow == 0`. */
+    def degreePow(i: Int, pow: Double): Double = if (pow == 0.0) 1.0 else math.pow(rowSums(i), pow)
+
+    /** Partial sums `Σ_r w(r,c) · d_r^pow · y[r]` over this slice's rows, one
+      * per column reached from a row present in `ys`.
       */
-    def times(ys: Iterator[(Long, Array[Double])], src: Int): Iterator[(Long, Partial)] = {
+    def times(ys: Iterator[(Long, Array[Double])], pow: Double, src: Int): Iterator[(Long, Partial)] = {
       val y = new Array[Array[Double]](rowIds.length)
       var width = -1
       ys.foreach { case (id, v) =>
@@ -124,9 +165,10 @@ object SparseOp {
       while (i < rowIds.length) {
         val yi = y(i)
         if (yi != null) {
+          val s = degreePow(i, pow)
           var e = rowPtr(i)
           while (e < rowPtr(i + 1)) {
-            val c = colIdx(e); val we = w(e); val base = c * width
+            val c = colIdx(e); val we = w(e) * s; val base = c * width
             var j = 0
             while (j < width) { acc(base + j) += we * yi(j); j += 1 }
             reached(c) = true
@@ -162,15 +204,21 @@ object SparseOp {
   }
 
   /** Add up each id's partial sums in the order of their source partitions,
-    * emitting ids in ascending order.
+    * emitting ids in ascending order; with `pow != 0`, scale row `id` by the
+    * `pow`-th power of its row sum in `csr`, the copy that holds it.
     */
-  private def combine(it: Iterator[(Long, Partial)]): Iterator[(Long, Array[Double])] = {
+  private def combine(it: Iterator[(Long, Partial)], csr: Csr, pow: Double): Iterator[(Long, Array[Double])] = {
     val byId = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Partial]]
     it.foreach { case (id, p) => byId.getOrElseUpdate(id, mutable.ArrayBuffer.empty) += p }
     byId.keys.toArray.sorted.iterator.map { id =>
       val parts = byId(id).sortBy(_.src)
       val out = parts.head.vec
       parts.iterator.drop(1).foreach(p => Local.addInPlace(out, p.vec))
+      if (pow != 0.0) {
+        val s = csr.degreePow(Arrays.binarySearch(csr.rowIds, id), pow)
+        var j = 0
+        while (j < out.length) { out(j) *= s; j += 1 }
+      }
       (id, out)
     }
   }
@@ -204,14 +252,12 @@ object SparseOp {
     Block.unflatten(Block.sumInOrder(parts.map(_._2)), parts.head._1)
   }
 
-  /** `out = a·x + y` over the ids of `x` (ids missing from `y` count as zero rows). */
-  def axpy(a: Double, x: Rows, y: Rows): Rows =
+  /** `f(x_i, y_i)` for every row `x_i` of `x`, with `y_i` the row of equal
+    * id in the co-partitioned block `y`, or null.
+    */
+  def zipRows(x: Rows, y: Rows)(f: (Array[Double], Array[Double]) => Array[Double]): Rows =
     x.zipPartitions(y, preservesPartitioning = true) { (xs, ys) =>
-      mergeLeft(xs, ys).map { case (id, xv, yv) =>
-        val out = Local.axpy(a, xv)
-        if (yv != null) Local.addInPlace(out, yv)
-        (id, out)
-      }
+      mergeLeft(xs, ys).map { case (id, xv, yv) => (id, f(xv, yv)) }
     }
 
   /** Right-multiply every row by a local matrix: `out_i = x_i · M`. */

@@ -3,20 +3,19 @@ package repro.linalg
 import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.linalg.SparseOp.Rows
 
-/** Block power iteration with Rayleigh–Ritz extraction for the top-β
-  * eigenpairs of a symmetric positive semi-definite operator.
+/** Block power iteration with Rayleigh–Ritz extraction for the top-β left
+  * singular vectors of a sparse matrix M, i.e. eigenpairs of `M Mᵀ`.
   *
-  * The operator is a sparse matrix held as a [[SparseOp]], so the |V|×|V|
-  * matrix (e.g. `Q Qᵀ`) is never materialised — exactly the trick HOPE
-  * relies on (paper §3, "without materializing H explicitly"). This is also
-  * the engine behind every spectral baseline's truncated SVD.
+  * M is a [[SparseOp]] (or one of its scaled views), so the square matrix
+  * `M Mᵀ` (e.g. HOPE's `Q Qᵀ`) is never materialised — exactly the trick
+  * HOPE relies on (paper §3, "without materializing H explicitly"). This is
+  * also the engine behind every spectral baseline's truncated SVD.
   *
   * The iterated block stays co-partitioned with the operator from the first
   * step to the last. A power step is one Spark job: the Gram `XᵀX` of the
-  * new block `X = A V`, which also materialises `X` in the cache; `X R⁻¹` is
-  * a per-row map. Every block the loop persists, and the operator's cached
-  * copies, are released before the call returns; only the returned
-  * eigenvector block (a local checkpoint) stays.
+  * new block `X = M Mᵀ V`, which also materialises `X` in the cache; `X R⁻¹`
+  * is a per-row map. Every block the loop persists is released before the
+  * call returns.
   */
 object SubspaceIteration {
 
@@ -25,57 +24,21 @@ object SubspaceIteration {
     */
   private val Oversample = 4
 
-  /** Top-β eigenpairs of the symmetric matrix `M` with entries
-    * `w(row, col)`, rows and columns over the same ids.
+  /** `f` applied to the top-β left singular vectors and the singular values
+    * (descending) of the matrix `m`, which the caller owns and caches (every
+    * power step reads it twice).
     *
-    * @param ids        DataFrame with a single `id` column enumerating the
-    *                   operator's coordinate space
-    * @param beta       number of eigenpairs
-    * @param powerIters number of power-iteration steps (each = 1 operator
-    *                   application + re-orthonormalisation)
-    * @param shift      iterate on `M + shift·I`, which has M's eigenvectors;
-    *                   a shift that makes it PSD lets the iteration target
-    *                   M's algebraically largest eigenvalues
-    * @return (eigenvector block with β columns, eigenvalues of M descending)
-    */
-  def topEig(edges: DataFrame,
-             rowCol: String, colCol: String, wCol: String,
-             ids: DataFrame,
-             beta: Int,
-             powerIters: Int,
-             seed: Long,
-             shift: Double = 0.0): (Dataset[BRow], Array[Double]) = {
-    val (vecs, lambda) = eig(edges, rowCol, colCol, wCol, ids, beta, powerIters, seed) { op =>
-      if (shift == 0.0) op.mul else v => SparseOp.axpy(shift, v, op.mul(v))
-    }
-    (SparseOp.toDataset(vecs), lambda.map(_ - shift))
-  }
-
-  /** Truncated SVD of a sparse matrix given as edges `(row, col, w)`.
+    * The singular-vector block, over M's row ids and co-partitioned with
+    * `m`, is read from blocks this call persists and releases when `f`
+    * returns, so `f` materialises whatever it returns that reads the block.
     *
-    * Returns the top-β LEFT singular vectors (block over row ids) and the
-    * singular values, via eigenpairs of the operator `y ↦ M (Mᵀ y)`.
+    * @param beta       number of singular pairs
+    * @param powerIters number of power-iteration steps (each = one product
+    *                   with `M Mᵀ` + re-orthonormalisation)
     */
-  def topLeftSingular(edges: DataFrame,
-                      rowCol: String, colCol: String, wCol: String,
-                      rowIds: DataFrame,
-                      beta: Int,
-                      powerIters: Int,
-                      seed: Long): (Dataset[BRow], Array[Double]) = {
-    val (vecs, lambda) = eig(edges, rowCol, colCol, wCol, rowIds, beta, powerIters, seed) { op =>
-      v => op.mulT(op.mul(v))
-    }
-    (SparseOp.toDataset(vecs), lambda.map(x => math.sqrt(math.max(x, 0.0))))
-  }
-
-  /** The power-iteration loop on the PSD operator `apply(op)`, where `op` is
-    * the matrix of `edges`, cached for the duration of the call.
-    */
-  private def eig(edges: DataFrame, rowCol: String, colCol: String, wCol: String,
-                  ids: DataFrame, beta: Int, powerIters: Int, seed: Long)
-                 (apply: SparseOp => Rows => Rows): (Rows, Array[Double]) = {
-    val op = SparseOp(edges, rowCol, colCol, wCol).cache()
-    val a = apply(op)
+  def topLeftSingular[T](m: SparseOp, beta: Int, powerIters: Int, seed: Long)
+                        (f: (Rows, Array[Double]) => T): T = {
+    def mmt(v: Rows): Rows = m.mulT(m.mul(v))
     var live = List.empty[Rows] // blocks this loop persisted and has not released
     // `X R⁻¹`, persisted: the next step reads it twice (Rayleigh–Ritz) or
     // more. The Gram job materialises `x`, after which the blocks of earlier
@@ -90,21 +53,39 @@ object SubspaceIteration {
       v
     }
     try {
-      var v = orthonormalize(op.coPartition(Block.gaussianBlock(ids, beta + Oversample, seed)))
+      // The random start enters as drawn: `X R⁻¹` spans what X spans, so only
+      // a call without power steps needs it orthonormalised.
+      var v = m.block(Local.gaussianVec(seed, _, beta + Oversample))
+      if (powerIters == 0) v = orthonormalize(v)
       var t = 0
       while (t < powerIters) {
-        v = orthonormalize(a(v))
+        v = orthonormalize(mmt(v))
         t += 1
       }
       // Rayleigh–Ritz: rotate the converged subspace onto eigenvector axes and
       // drop the guard columns.
-      val (w, lambda) = Local.symEigDesc(SparseOp.pairGram(v, a(v)))
-      val vecs = SparseOp.timesLocal(v, w.map(_.take(beta))).localCheckpoint()
-      vecs.count()
-      (vecs, lambda.take(beta))
-    } finally {
-      live.foreach(_.unpersist())
-      op.unpersist()
-    }
+      val (w, lambda) = Local.symEigDesc(SparseOp.pairGram(v, mmt(v)))
+      f(SparseOp.timesLocal(v, w.map(_.take(beta))), lambda.take(beta).map(x => math.sqrt(math.max(x, 0.0))))
+    } finally live.foreach(_.unpersist())
+  }
+
+  /** [[topLeftSingular]] of the matrix with entries `w(row, col)` given as
+    * edges: the singular-vector block (a local checkpoint) as a
+    * `Dataset[BRow]`, and the singular values. The block covers the row ids
+    * of `edges`; `rowIds` is not read and is kept so existing callers
+    * compile.
+    */
+  def topLeftSingular(edges: DataFrame,
+                      rowCol: String, colCol: String, wCol: String,
+                      rowIds: DataFrame,
+                      beta: Int,
+                      powerIters: Int,
+                      seed: Long): (Dataset[BRow], Array[Double]) = {
+    val m = SparseOp(edges, rowCol, colCol, wCol).cache()
+    try topLeftSingular(m, beta, powerIters, seed) { (vecs, sigma) =>
+      val kept = vecs.localCheckpoint()
+      kept.count()
+      (SparseOp.toDataset(kept), sigma)
+    } finally m.unpersist()
   }
 }

@@ -1,7 +1,10 @@
 package repro.baselines
 
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.Dataset
 import repro.{SparkSpec, TestGraphs}
-import repro.core.Metrics
+import repro.core.{BipartiteGraph, Hope, Metrics}
+import repro.linalg.Local
 
 /** Every competitor returns a valid partition and clears a quality floor
   * appropriate to its strength on an easy planted instance (the weak methods
@@ -45,6 +48,49 @@ class BaselinesSpec extends SparkSpec {
       info(s"${m.name}: $s")
       assert(s.ari > minAri, s"${m.name} scores: $s")
     }
+  }
+
+  test("SC's stacked U ∪ V embedding spans the top-k eigenvectors of the normalised adjacency") {
+    val spark2 = sp
+    import spark2.implicits._
+    // k plus the 4 guard columns is |U|: the iterated block spans all of
+    // U's space, so the singular triplets are exact.
+    val nU = 8; val nV = 14; val k = 4
+    val rnd = new scala.util.Random(23)
+    val w = Array.tabulate(nU, nV)((i, j) =>
+      if (i == j % nU || rnd.nextDouble() < 0.3) 1.0 + rnd.nextInt(4) else 0.0)
+    val edges = (for (i <- 0 until nU; j <- 0 until nV if w(i)(j) > 0)
+      yield (i.toLong, j.toLong, w(i)(j))).toDF("u", "v", "w")
+    val (u, v) = BipartiteGraph.withOperator(edges) { a =>
+      SpectralBaselines.coEmbedding(a, k, seed = 5)((u, v) => (u.collect().toMap, v.collect().toMap))
+    }
+    // E = [U; V]/√2 over U ids 0 until nU, then V ids (block ids −1−v).
+    val e = Array.tabulate(nU + nV)(i =>
+      (if (i < nU) u(i.toLong) else v(-1L - (i - nU))).map(_ / math.sqrt(2.0)))
+    val du = w.map(_.sum)
+    val dv = Array.tabulate(nV)(j => w.map(_(j)).sum)
+    val n = Local.zeros(nU + nV, nU + nV)
+    for (i <- 0 until nU; j <- 0 until nV) {
+      n(i)(nU + j) = w(i)(j) / math.sqrt(du(i) * dv(j)); n(nU + j)(i) = n(i)(nU + j)
+    }
+    val f = Local.symEigDesc(n)._1.map(_.take(k))
+    def proj(m: Local.Mat) = Local.matmul(m, Local.transpose(m))
+    assert(Local.maxAbsDiff(Local.matmul(Local.transpose(e), e), Local.eye(k)) < 1e-8)
+    assert(Local.maxAbsDiff(proj(e), proj(f)) < 1e-8)
+  }
+
+  test("Hope.embed and the operator baselines leave only what they return persisted") {
+    val sc = sp.sparkContext
+    val edges = easy.edges
+    val before = sc.getPersistentRDDs.keySet
+    val results: Seq[Dataset[_]] = Hope.embed(edges, k, Hope.Params(powerIters = 2, seed = 3)) +:
+      Seq(SpectralBaselines.SC, SpectralBaselines.SCC, SpectralBaselines.SBC,
+          RandomWalkEmb.PPR, RandomWalkEmb.NRP, NmfBaseline).map(_.cluster(sp, edges, k, seed = 11))
+    results.foreach(_.count())
+    def lineage(r: RDD[_]): Set[Int] = r.dependencies.map(d => lineage(d.rdd)).foldLeft(Set(r.id))(_ ++ _)
+    val returned = results.flatMap(r => lineage(r.rdd)).toSet
+    val leaked = sc.getPersistentRDDs.filter { case (id, _) => !before.contains(id) && !returned.contains(id) }
+    assert(leaked.isEmpty, s"still persisted: ${leaked.values.mkString(", ")}")
   }
 
   test("registry enumerates 16 methods in table order") {

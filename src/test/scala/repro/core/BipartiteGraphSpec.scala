@@ -30,6 +30,27 @@ class BipartiteGraphSpec extends SparkSpec {
       .toSeq.toDF("u", "v", "w")
   }
 
+  Seq("a NaN weight"      -> (1L, 2L, Double.NaN),
+      "an infinite weight" -> (1L, 2L, Double.PositiveInfinity),
+      "a zero weight"      -> (1L, 2L, 0.0),
+      "a negative weight"  -> (1L, 2L, -1.0),
+      "a negative U id"    -> (-1L, 2L, 1.0),
+      "a negative V id"    -> (1L, -3L, 1.0)).foreach { case (what, (u, v, w)) =>
+    test(s"the graph's operator rejects an edge with $what, naming it") {
+      import sp.implicits._
+      val edges = (Seq((0L, 0L, 1.0), (1L, 1L, 2.0), (2L, 2L, 1.0)) :+ ((u, v, w))).toDF("u", "v", "w")
+      val e = intercept[IllegalArgumentException](Hope.embed(edges, 2, Hope.Params(beta = 2, powerIters = 1)))
+      assert(e.getMessage.contains(s"u=$u, v=$v, w=$w"), e.getMessage)
+    }
+  }
+
+  test("the first bad edge in (u, v) order is the one named") {
+    import sp.implicits._
+    val edges = Seq((3L, 0L, -2.0), (0L, 0L, 1.0), (1L, 4L, 0.0), (1L, 1L, 2.0)).toDF("u", "v", "w")
+    val e = intercept[IllegalArgumentException](BipartiteGraph.operator(edges))
+    assert(e.getMessage.contains("u=1, v=4, w=0.0"), e.getMessage)
+  }
+
   test("P rows sum to 1 (transition matrix is row-stochastic)") {
     val p = BipartiteGraph.pEdges(randomEdges(1))
     val sums = p.groupBy("u").agg(sum("p").as("s")).collect()

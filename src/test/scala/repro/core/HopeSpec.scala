@@ -73,6 +73,34 @@ class HopeSpec extends SparkSpec {
       s"same=${sameSum / sameN} diff=${diffSum / diffN}")
   }
 
+  test("X Xᵀ matches the local exact normalizeRows(P·U_β·diag((1-α)/(1-ασ²)))") {
+    import sp.implicits._
+    // β plus the 4 guard columns is |V|: the iterated block spans the whole
+    // space, so the Ritz vectors are Q Qᵀ's exact eigenvectors. X Xᵀ does not
+    // depend on the basis chosen within U's column space.
+    val nU = 30; val nV = 12; val beta = 8
+    val rnd = new scala.util.Random(17)
+    val w = Array.tabulate(nU, nV)((i, j) =>
+      if (j == i % nV || rnd.nextDouble() < 0.35) 1.0 + rnd.nextInt(3) else 0.0)
+    val edges = (for (i <- 0 until nU; j <- 0 until nV if w(i)(j) > 0)
+      yield (i.toLong, j.toLong, w(i)(j))).toDF("u", "v", "w")
+    val params = Hope.Params(beta = beta, powerIters = 4, seed = 3)
+    val x = Block.collectMap(Hope.embed(edges, 3, params))
+
+    val du = w.map(_.sum)
+    val dv = Array.tabulate(nV)(j => w.map(_(j)).sum)
+    val q = Array.tabulate(nV, nU)((j, i) => w(i)(j) / math.sqrt(du(i) * dv(j)))
+    val (u, lam) = Local.symEigDesc(Local.matmul(q, Local.transpose(q)))
+    val f = lam.take(beta).map(l =>
+      (1 - params.alpha) / (1 - params.alpha * math.min(math.max(l, 0.0), 1 - 1e-12)))
+    val xHat = Array.tabulate(nU, beta)((i, c) => (0 until nV).map(j => w(i)(j) / du(i) * u(j)(c)).sum * f(c))
+    val want = xHat.map(r => Local.axpy(1 / Local.l2(r), r))
+    def gram(rows: Int => Array[Double]) =
+      Array.tabulate(nU, nU)((i, l) => rows(i).zip(rows(l)).map(p => p._1 * p._2).sum)
+    val err = Local.maxAbsDiff(gram(i => x(i.toLong)), gram(want))
+    assert(err < 1e-8, s"max |XXᵀ - exact| = $err")
+  }
+
   test("is deterministic for a fixed seed") {
     val g = TestGraphs.easy(sp)
     val a = Hope.run(g.edges, g.config.k, fastParams)

@@ -116,13 +116,6 @@ class BlockSpec extends SparkSpec {
     assert(a.exists { case (id, v) => !v.sameElements(c(id)) })
   }
 
-  test("rademacherBlock rows have unit norm") {
-    import sp.implicits._
-    val ids = (0L until 5L).toDF("id")
-    val m = Block.collectMap(Block.rademacherBlock(ids, 16, 3))
-    m.values.foreach(v => assert(math.abs(Local.l2(v) - 1.0) < 1e-12))
-  }
-
   test("orthonormalize yields orthonormal columns") {
     import sp.implicits._
     val ids = (0L until 50L).toDF("id")

@@ -56,6 +56,29 @@ class SparseOpSpec extends SparkSpec {
 
   private def collect(x: Rows): Map[Long, Array[Double]] = x.collect().toMap
 
+  /** The views checked against local products: `(a, b, transposed)` for
+    * `D_r^a · M · D_c^b`, transposed or not.
+    */
+  private val Views = Seq((-0.5, -0.5, false), (-1.0, 0.0, false), (0.0, -1.0, true), (-0.5, -1.0, true))
+
+  private def view(op: SparseOp, v: (Double, Double, Boolean)): SparseOp =
+    if (v._3) op.scaled(v._1, v._2).t else op.scaled(v._1, v._2)
+
+  /** The same entries with positive weights, so every degree power exists. */
+  private def positive(es: Seq[(Long, Long, Double)]) = es.map { case (r, c, w) => (r, c, 0.5 + math.abs(w)) }
+
+  /** Entries of a view of the matrix with entries `es`, with `D_r` and `D_c`
+    * the row and column sums of `es`.
+    */
+  private def viewEntries(es: Seq[(Long, Long, Double)], v: (Double, Double, Boolean)) = {
+    val dr = es.groupMapReduce(_._1)(_._3)(_ + _)
+    val dc = es.groupMapReduce(_._2)(_._3)(_ + _)
+    val m = es.map { case (r, c, w) => (r, c, math.pow(dr(r), v._1) * w * math.pow(dc(c), v._2)) }
+    if (v._3) m.map { case (r, c, w) => (c, r, w) } else m
+  }
+
+  private def transpose(es: Seq[(Long, Long, Double)]) = es.map { case (r, c, w) => (c, r, w) }
+
   test("mul matches a local dense multiply (duplicates, missing rows, empty partitions)") {
     val (es, dense) = input(3)
     val op = mkOp(es)
@@ -66,6 +89,9 @@ class SparseOpSpec extends SparkSpec {
     assert(es.exists(e => !dense.contains(e._1)))
     assert(op.rows.collect().exists(_.rowIds.isEmpty))
     assertClose(collect(op.mul(y)), expected(es, dense))
+    val pos = positive(es); val pop = mkOp(pos)
+    for (v <- Views)
+      assertClose(collect(view(pop, v).mul(pop.coPartition(mkDense(dense)))), expected(viewEntries(pos, v), dense))
   }
 
   test("mulT multiplies by the transpose") {
@@ -74,16 +100,33 @@ class SparseOpSpec extends SparkSpec {
     val dense = (0L until NCols.toLong).filter(_ % 3 != 0)
       .map(i => i -> Array.fill(Width)(rnd.nextGaussian())).toMap
     val op = mkOp(es)
-    val transposed = es.map { case (r, c, w) => (c, r, w) }
-    assertClose(collect(op.mulT(op.coPartition(mkDense(dense)))), expected(transposed, dense))
+    assertClose(collect(op.mulT(op.coPartition(mkDense(dense)))), expected(transpose(es), dense))
+    val pos = positive(es); val pop = mkOp(pos)
+    for (v <- Views)
+      assertClose(collect(view(pop, v).mulT(pop.coPartition(mkDense(dense)))),
+                  expected(transpose(viewEntries(pos, v)), dense))
   }
 
   test("products chain: mulT(mul(y)) needs no re-partitioning") {
     val (es, dense) = input(7)
+    for ((m, op) <- Seq(es -> mkOp(es)) ++ Views.map(v => viewEntries(positive(es), v) -> view(mkOp(positive(es)), v))) {
+      val want = expected(transpose(m), expected(m, dense))
+      assertClose(collect(op.mulT(op.mul(op.coPartition(mkDense(dense))))), want)
+    }
+  }
+
+  test("block: one row per view row id from (seed, id); unit-norm Rademacher") {
+    val (es, _) = input(15)
     val op = mkOp(es)
-    val t = expected(es, dense)
-    val want = expected(es.map { case (r, c, w) => (c, r, w) }, t)
-    assertClose(collect(op.mulT(op.mul(op.coPartition(mkDense(dense))))), want)
+    val rows = op.block(Local.rademacherVec(3, _, 16))
+    val cols = op.t.block(Local.rademacherVec(3, _, 16))
+    assert(rows.partitioner.contains(op.partitioner) && cols.partitioner.contains(op.partitioner))
+    assert(collect(rows).keySet == es.map(_._1).toSet)
+    assert(collect(cols).keySet == es.map(_._2).toSet)
+    collect(rows).foreach { case (id, v) =>
+      assert(v.sameElements(Local.rademacherVec(3, id, 16)))
+      assert(math.abs(Local.l2(v) - 1.0) < 1e-12)
+    }
   }
 
   test("output is partitioned like the operator, ids ascending, one shuffle per product") {

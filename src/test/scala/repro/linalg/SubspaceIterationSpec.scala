@@ -7,11 +7,10 @@ class SubspaceIterationSpec extends SparkSpec {
 
   private lazy val sp = spark
 
-  /** Dense PSD matrix as an operator on row-blocks plus its local form. */
-  private def randomPsd(n: Int, seed: Int): Local.Mat = {
+  /** A random square matrix `a`, whose `a aᵀ` is PSD. */
+  private def randomSquare(n: Int, seed: Int): Local.Mat = {
     val rnd = new scala.util.Random(seed)
-    val a = Array.fill(n)(Array.fill(n)(rnd.nextGaussian() / math.sqrt(n.toDouble)))
-    Local.matmul(a, Local.transpose(a))
+    Array.fill(n)(Array.fill(n)(rnd.nextGaussian() / math.sqrt(n.toDouble)))
   }
 
   private def asEdges(m: Local.Mat) = {
@@ -20,53 +19,36 @@ class SubspaceIterationSpec extends SparkSpec {
       yield (i.toLong, j.toLong, m(i)(j))).toDF("src", "dst", "w")
   }
 
-  test("topEig recovers the leading eigenvalues of a PSD matrix") {
+  private def ids(n: Int) = {
     import sp.implicits._
+    (0L until n.toLong).toDF("id")
+  }
+
+  test("topLeftSingular recovers the leading eigenvalues of M Mᵀ") {
     val n = 24
-    val m = randomPsd(n, 42)
-    val edges = asEdges(m)
-    val ids = (0L until n.toLong).toDF("id")
-    val (_, lam) = SubspaceIteration.topEig(edges, "src", "dst", "w", ids, 5, 30, seed = 9)
-    val (_, exact) = Local.symEigDesc(m)
+    val a = randomSquare(n, 42)
+    val (_, sv) = SubspaceIteration.topLeftSingular(asEdges(a), "src", "dst", "w", ids(n), 5, 30, seed = 9)
+    val (_, exact) = Local.symEigDesc(Local.matmul(a, Local.transpose(a)))
     for (i <- 0 until 5)
-      assert(math.abs(lam(i) - exact(i)) < 1e-4, s"eig $i: ${lam(i)} vs ${exact(i)}")
+      assert(math.abs(sv(i) * sv(i) - exact(i)) < 1e-4, s"eig $i: ${sv(i) * sv(i)} vs ${exact(i)}")
   }
 
-  test("topEig eigenvectors satisfy A v = λ v") {
-    import sp.implicits._
+  test("topLeftSingular vectors satisfy M Mᵀ u = σ² u") {
     val n = 16
-    val m = randomPsd(n, 7)
-    val edges = asEdges(m)
-    val ids = (0L until n.toLong).toDF("id")
-    val (vecs, lam) = SubspaceIteration.topEig(edges, "src", "dst", "w", ids, 3, 40, seed = 1)
-    val v = Block.collectMap(vecs)
-    val av = Block.collectMap(Block.spmm(edges, vecs, "src", "dst"))
+    val a = randomSquare(n, 7)
+    val m = Local.matmul(a, Local.transpose(a))
+    val (vecs, sv) = SubspaceIteration.topLeftSingular(asEdges(a), "src", "dst", "w", ids(n), 3, 40, seed = 1)
+    val u = Block.collectMap(vecs)
+    val mu = Block.collectMap(Block.spmm(asEdges(m), vecs, "src", "dst"))
     for (id <- 0L until n.toLong; j <- 0 until 3)
-      assert(math.abs(av(id)(j) - lam(j) * v(id)(j)) < 1e-3)
+      assert(math.abs(mu(id)(j) - sv(j) * sv(j) * u(id)(j)) < 1e-3)
   }
 
-  test("topEig returns orthonormal vectors") {
-    import sp.implicits._
+  test("topLeftSingular returns orthonormal vectors") {
     val n = 20
-    val edges = asEdges(randomPsd(n, 13))
-    val ids = (0L until n.toLong).toDF("id")
-    val (vecs, _) = SubspaceIteration.topEig(edges, "src", "dst", "w", ids, 4, 25, seed = 5)
+    val (vecs, _) = SubspaceIteration.topLeftSingular(
+      asEdges(randomSquare(n, 13)), "src", "dst", "w", ids(n), 4, 25, seed = 5)
     assert(Local.maxAbsDiff(Block.gram(vecs), Local.eye(4)) < 1e-6)
-  }
-
-  test("topEig with a shift finds the algebraically largest eigenvalues") {
-    import sp.implicits._
-    val n = 20
-    val rnd = new scala.util.Random(17)
-    val a = Array.fill(n)(Array.fill(n)(rnd.nextGaussian() / math.sqrt(n.toDouble)))
-    val m = Local.scale(Local.add(a, Local.transpose(a)), 0.5) // symmetric, indefinite
-    val ids = (0L until n.toLong).toDF("id")
-    val (_, lam) = SubspaceIteration.topEig(asEdges(m), "src", "dst", "w", ids, 3, 60,
-                                            seed = 4, shift = 3.0)
-    val (_, exact) = Local.symEigDesc(m)
-    assert(exact.last < 0)
-    for (i <- 0 until 3)
-      assert(math.abs(lam(i) - exact(i)) < 1e-4, s"eig $i: ${lam(i)} vs ${exact(i)}")
   }
 
   test("topLeftSingular matches exact SVD singular values") {
