@@ -13,7 +13,7 @@ import repro.data.Catalog
 object RunMethod {
   def main(args: Array[String]): Unit = {
     require(args.length >= 2, "usage: RunMethod <dataset> <method> [seed]")
-    val spark = SparkSession.builder.appName("repro-run-method").getOrCreate()
+    val spark = SparkSession.builder().appName("repro-run-method").getOrCreate()
     val spec = Catalog.byName(args(0))
     val method = Registry.byName(args(1))
     val seed = if (args.length > 2) args(2).toLong else 2024L

@@ -22,7 +22,7 @@ object Table2Job {
     }
 
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("repro-table2").getOrCreate()
+    val spark = SparkSession.builder().appName("repro-table2").getOrCreate()
     statsLines(spark, Catalog.all).foreach(println)
     spark.stop()
   }

@@ -9,7 +9,7 @@ import repro.eval.TableRunner
   */
 object Table4Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("repro-table4").getOrCreate()
+    val spark = SparkSession.builder().appName("repro-table4").getOrCreate()
     val res = TableRunner.run(spark, Catalog.small)
     println(res.render())
     spark.stop()

@@ -9,7 +9,7 @@ import repro.eval.TableRunner
   */
 object Table5Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("repro-table5").getOrCreate()
+    val spark = SparkSession.builder().appName("repro-table5").getOrCreate()
     val res = TableRunner.run(spark, Catalog.large)
     println(res.render())
     spark.stop()

@@ -1,8 +1,8 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.functions._
-import repro.linalg.{BRow, Block, Local}
+import repro.linalg.{BRow, Block, Local, SparseOp}
 
 /** HOPE+ (paper §4, Algorithms 2 and 3).
   *
@@ -54,60 +54,85 @@ object HopePlus {
     Block.signFixColumns(Block.timesLocal(x, rot))
   }
 
-  /** `Lᵀ C` as a local k×k matrix, with C's 1/√|C_j| normalisation applied.
-    * Column j of the result is (Σ_{i ∈ C_j} L_i) / √|C_j|.
-    */
-  private def ltC(l: Dataset[BRow], assign: DataFrame, k: Int): Local.Mat = {
-    val spark = l.sparkSession
-    import spark.implicits._
-    val sums = l.toDF("id", "vec").join(assign, "id")
-      .select($"cluster".cast("int"), $"vec").as[(Int, Array[Double])]
-      .groupByKey(_._1)
-      .mapValues { case (_, v) => (v, 1L) }
-      .reduceGroups { (a, b) => (Local.addInPlace(a._1, b._1), a._2 + b._2) }
-      .collect()
-    val m = Local.zeros(k, k)
-    sums.foreach { case (c, (s, n)) =>
-      val inv = 1.0 / math.sqrt(n.toDouble)
-      var a = 0
-      while (a < k) { m(a)(c) = s(a) * inv; a += 1 }
-    }
-    m
-  }
-
-  /** Assign each row of L to `argmax_j (L T)_{i,j}` (Lines 8–11, Alg. 3). */
-  private def assignArgmax(l: Dataset[BRow], t: Local.Mat): DataFrame = {
-    val spark = l.sparkSession
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(t)
-    l.map(r => (r.id, Local.argmax(Local.vecMat(r.vec, bc.value))))
-      .toDF("id", "cluster")
-  }
-
   /** Rounding (Algorithm 3): alternate T and C updates until C is unchanged
     * or `maxRounds` iterations. Returns assignments `(id, cluster)`.
     */
-  def round(l: Dataset[BRow], k: Int, urt: Urt, maxRounds: Int): DataFrame = {
-    // Greedy seeding (Lines 6–10, Alg. 2): argmax over L itself, i.e. T = I.
-    var assign = assignArgmax(l, Local.eye(k)).transform(repro.linalg.Block.localize)
-    var t = 0
-    var converged = false
-    while (t < maxRounds && !converged) {
-      val m = ltC(l, assign, k)
-      val tMat = urt match {
-        case Fnem =>
-          val (phi, _, v) = Local.svdSmall(m)
-          Local.matmul(phi, Local.transpose(v))
-        case Snem => m
+  def round(l: Dataset[BRow], k: Int, urt: Urt, maxRounds: Int): DataFrame =
+    rounding(l, k, urt, maxRounds)._1
+
+  /** [[round]], and the number of rounds it ran.
+    *
+    * Round t is one pass over L: it assigns every row to its argmax under
+    * `T_t`, which gives `C_t`; counts the rows whose argmax under `T_{t−1}`
+    * differs (the convergence test); and adds up `Lᵀ C_t`, which gives
+    * `T_{t+1}`. The greedy seeding is the pass under `T_0 = I`.
+    */
+  private[core] def rounding(l: Dataset[BRow], k: Int, urt: Urt, maxRounds: Int): (DataFrame, Int) = {
+    val spark = l.sparkSession
+    import spark.implicits._
+    val sc = spark.sparkContext
+    val label = s"round.${urt.name.toLowerCase}"
+    val rows = l.rdd.map(r => (r.id, r.vec)).persist(SparseOp.Level)
+    try {
+      // Greedy seeding (Lines 6–10, Alg. 2): argmax over L itself, i.e. T = I.
+      var t = Local.eye(k)
+      var rounds = 0
+      if (maxRounds > 0) {
+        var (m, _) = Block.labelJobs(sc, s"$label/seed")(pass(rows, t, null, k))
+        var changed = -1L
+        while (rounds < maxRounds && changed != 0L) {
+          val prev = t
+          t = urt match {
+            case Fnem =>
+              val (phi, _, v) = Local.svdSmall(m)
+              Local.matmul(phi, Local.transpose(v))
+            case Snem => m
+          }
+          rounds += 1
+          val (next, c) = Block.labelJobs(sc, s"$label/round $rounds")(pass(rows, t, prev, k))
+          m = next
+          changed = c
+        }
       }
-      val next = assignArgmax(l, tMat).transform(repro.linalg.Block.localize)
-      val changed = next.as("n").join(assign.as("o"), "id")
-        .where(col("n.cluster") =!= col("o.cluster")).count()
-      assign = next
-      converged = changed == 0L
-      t += 1
+      val tFinal = t
+      val out = Block.labelJobs(sc, s"$label/assign") {
+        Block.localize(rows.mapValues(v => Local.argmax(Local.vecMat(v, tFinal))).toDF("id", "cluster"))
+      }
+      (out, rounds)
+    } finally rows.unpersist()
+  }
+
+  /** One pass over the rows of L: `C = argmax` under `t` (Lines 8–11,
+    * Alg. 3), and `Lᵀ C` as a local k×k matrix with C's 1/√|C_j|
+    * normalisation applied — column j is `(Σ_{i ∈ C_j} L_i) / √|C_j|` —
+    * together with the number of rows whose argmax under `prev` (if not
+    * null) differs. Per-partition partials are added in partition order.
+    */
+  private def pass(rows: RDD[(Long, Array[Double])], t: Local.Mat, prev: Local.Mat, k: Int): (Local.Mat, Long) = {
+    val parts = rows.mapPartitions { it =>
+      val sums = new Array[Double](k * k) // sums(j·k + a) = Σ_{i ∈ C_j} L_i(a)
+      val sizes = new Array[Long](k)
+      var changed = 0L
+      it.foreach { case (_, v) =>
+        val j = Local.argmax(Local.vecMat(v, t))
+        if (prev != null && Local.argmax(Local.vecMat(v, prev)) != j) changed += 1
+        var a = 0
+        while (a < k) { sums(j * k + a) += v(a); a += 1 }
+        sizes(j) += 1
+      }
+      Iterator.single((sums, sizes, changed))
+    }.collect()
+    val sums = Block.sumInOrder(parts.map(_._1))
+    val m = Local.zeros(k, k)
+    (0 until k).foreach { j =>
+      val n = parts.map(_._2(j)).sum
+      if (n > 0) {
+        val inv = 1.0 / math.sqrt(n.toDouble)
+        var a = 0
+        while (a < k) { m(a)(j) = sums(j * k + a) * inv; a += 1 }
+      }
     }
-    assign
+    (m, parts.map(_._3).sum)
   }
 
   /** Full HOPE+ for one rounding scheme. */

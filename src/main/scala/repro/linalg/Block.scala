@@ -1,5 +1,6 @@
 package repro.linalg
 
+import org.apache.spark.SparkContext
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
@@ -54,7 +55,7 @@ object Block {
     * floating-point sums can differ from run to run; collecting the partials
     * and folding them in a fixed order cannot.
     */
-  private[linalg] def sumInOrder(parts: Array[Array[Double]]): Array[Double] =
+  def sumInOrder(parts: Array[Array[Double]]): Array[Double] =
     parts.reduceLeft(Local.addInPlace)
 
   /** Gram matrix `XᵀX` collected to the driver (β×β). */
@@ -69,25 +70,8 @@ object Block {
       }
       Option(acc).iterator
     }.collect()
+    require(parts.nonEmpty, "gram: the block is empty")
     unflatten(sumInOrder(parts), math.sqrt(parts.head.length.toDouble).round.toInt)
-  }
-
-  /** Pair Gram `XᵀY` (inner join on id) collected to the driver (β_x × β_y). */
-  def pairGram(x: Dataset[BRow], y: Dataset[BRow]): Local.Mat = {
-    val spark = x.sparkSession
-    import spark.implicits._
-    val parts = x.toDF("id", "xvec").join(y.toDF("id", "yvec"), "id")
-      .select($"xvec", $"yvec").as[(Array[Double], Array[Double])]
-      .mapPartitions { it =>
-        var acc: Array[Double] = null
-        var cols = 0
-        it.foreach { case (xv, yv) =>
-          if (acc == null) { cols = yv.length; acc = new Array[Double](xv.length * cols) }
-          outerInto(acc, xv, yv)
-        }
-        Option(acc).iterator.map(a => (cols, a))
-      }.collect()
-    unflatten(sumInOrder(parts.map(_._2)), parts.head._1)
   }
 
   /** Right-multiply every row by a local matrix: `out_i = x_i · M`. */
@@ -174,6 +158,16 @@ object Block {
       a
     }
     scaleCols(x, extremes.map(v => if (v < 0) -1.0 else 1.0))
+  }
+
+  /** `body`, with every Spark job it submits described as `label` (Spark's
+    * job description, which listeners and the event log report); the
+    * caller's description is restored after.
+    */
+  def labelJobs[T](sc: SparkContext, label: String)(body: => T): T = {
+    val prev = sc.getLocalProperty("spark.job.description")
+    sc.setJobDescription(label)
+    try body finally sc.setJobDescription(prev)
   }
 
   /** Collect a row-block to a driver map (test/debug helper; small inputs only). */

@@ -233,6 +233,7 @@ object SparseOp {
       }
       Option(acc).iterator
     }.collect()
+    require(parts.nonEmpty, "gram: the block is empty")
     Block.unflatten(Block.sumInOrder(parts), math.sqrt(parts.head.length.toDouble).round.toInt)
   }
 
@@ -249,6 +250,7 @@ object SparseOp {
       }
       Option(acc).iterator.map(a => (cols, a))
     }.collect()
+    require(parts.nonEmpty, "pairGram: the block is empty (no row id is in both blocks)")
     Block.unflatten(Block.sumInOrder(parts.map(_._2)), parts.head._1)
   }
 

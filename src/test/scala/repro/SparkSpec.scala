@@ -1,6 +1,7 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{Dataset, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -16,6 +17,19 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** The RDDs persisted after `results` are built and counted, and not
+    * before, that the lineage of no result reads.
+    */
+  def leakedBy(results: => Seq[Dataset[_]]): Iterable[RDD[_]] = {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val rs = results
+    rs.foreach(_.count())
+    def lineage(r: RDD[_]): Set[Int] = r.dependencies.map(d => lineage(d.rdd)).foldLeft(Set(r.id))(_ ++ _)
+    val returned = rs.flatMap(r => lineage(r.rdd)).toSet
+    sc.getPersistentRDDs.collect { case (id, r) if !before.contains(id) && !returned.contains(id) => r }
+  }
 }
 
 object SparkSpec {

@@ -1,7 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.Dataset
 import repro.{SparkSpec, TestGraphs}
 import repro.core.{BipartiteGraph, Hope, Metrics}
 import repro.linalg.Local
@@ -80,17 +78,11 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("Hope.embed and the operator baselines leave only what they return persisted") {
-    val sc = sp.sparkContext
     val edges = easy.edges
-    val before = sc.getPersistentRDDs.keySet
-    val results: Seq[Dataset[_]] = Hope.embed(edges, k, Hope.Params(powerIters = 2, seed = 3)) +:
+    val leaked = leakedBy(Hope.embed(edges, k, Hope.Params(powerIters = 2, seed = 3)) +:
       Seq(SpectralBaselines.SC, SpectralBaselines.SCC, SpectralBaselines.SBC,
-          RandomWalkEmb.PPR, RandomWalkEmb.NRP, NmfBaseline).map(_.cluster(sp, edges, k, seed = 11))
-    results.foreach(_.count())
-    def lineage(r: RDD[_]): Set[Int] = r.dependencies.map(d => lineage(d.rdd)).foldLeft(Set(r.id))(_ ++ _)
-    val returned = results.flatMap(r => lineage(r.rdd)).toSet
-    val leaked = sc.getPersistentRDDs.filter { case (id, _) => !before.contains(id) && !returned.contains(id) }
-    assert(leaked.isEmpty, s"still persisted: ${leaked.values.mkString(", ")}")
+          RandomWalkEmb.PPR, RandomWalkEmb.NRP, NmfBaseline).map(_.cluster(sp, edges, k, seed = 11)))
+    assert(leaked.isEmpty, s"still persisted: ${leaked.mkString(", ")}")
   }
 
   test("registry enumerates 16 methods in table order") {

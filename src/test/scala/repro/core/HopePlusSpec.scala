@@ -51,9 +51,86 @@ class HopePlusSpec extends SparkSpec {
     // Tr(Lᵀ X Xᵀ L) must equal the sum of the top-k eigenvalues of XᵀX.
     val gramX = Block.gram(x)
     val (_, lam) = Local.symEigDesc(gramX)
-    val ltx = Block.pairGram(l, x) // k×β
+    val (lRows, xRows) = (Block.collectMap(l), Block.collectMap(x))
+    val ltx = Local.zeros(k, xRows.head._2.length) // k×β
+    for ((id, lv) <- lRows; xv = xRows(id); i <- lv.indices; j <- xv.indices) ltx(i)(j) += lv(i) * xv(j)
     val trace = ltx.map(r => r.map(x2 => x2 * x2).sum).sum
     assert(math.abs(trace - lam.take(k).sum) < 1e-6 * math.max(1.0, lam.take(k).sum))
+  }
+
+  /** Algorithm 3 on the collected L: argmax under I, then `Lᵀ C → T →
+    * argmax` until no row changes or `maxRounds` rounds. Returns the
+    * assignment and the number of rounds run.
+    */
+  private def localRounding(l: Map[Long, Array[Double]], k: Int, urt: HopePlus.Urt,
+                            maxRounds: Int): (Map[Long, Int], Int) = {
+    def argmaxUnder(t: Local.Mat) = l.map { case (id, v) => id -> Local.argmax(Local.vecMat(v, t)) }
+    var assign = argmaxUnder(Local.eye(k))
+    var rounds = 0
+    var changed = -1
+    while (rounds < maxRounds && changed != 0) {
+      val ltc = Local.zeros(k, k)
+      assign.groupBy(_._2).foreach { case (j, members) =>
+        members.keys.foreach(id => (0 until k).foreach(a => ltc(a)(j) += l(id)(a)))
+        (0 until k).foreach(a => ltc(a)(j) /= math.sqrt(members.size.toDouble))
+      }
+      val t = urt match {
+        case HopePlus.Fnem =>
+          val (phi, _, v) = Local.svdSmall(ltc)
+          Local.matmul(phi, Local.transpose(v))
+        case HopePlus.Snem => ltc
+      }
+      val next = argmaxUnder(t)
+      changed = l.keys.count(id => next(id) != assign(id))
+      assign = next
+      rounds += 1
+    }
+    (assign, rounds)
+  }
+
+  test("FNEM and SNEM match a local Algorithm 3: same assignment, same round count") {
+    val spark2 = sp
+    import spark2.implicits._
+    Seq(TestGraphs.easy(sp), TestGraphs.hubHeavy(sp)).foreach { g =>
+      val x = Hope.embed(g.edges, g.config.k, Hope.Params(powerIters = 8, seed = 3))
+      val l = HopePlus.leftSingular(x, g.config.k).transform(Block.localize)
+      val rows = Block.collectMap(l)
+      for (urt <- Seq(HopePlus.Fnem, HopePlus.Snem); maxRounds <- Seq(1, 30)) {
+        val (assign, rounds) = HopePlus.rounding(l, g.config.k, urt, maxRounds)
+        val (want, wantRounds) = localRounding(rows, g.config.k, urt, maxRounds)
+        assert(rounds == wantRounds, s"${urt.name}, cap $maxRounds")
+        assert(assign.as[(Long, Int)].collect().toMap == want, s"${urt.name}, cap $maxRounds")
+      }
+    }
+  }
+
+  test("KMeansD.run and both rounding variants do not depend on the partitioning") {
+    val spark2 = sp
+    import spark2.implicits._
+    val g = TestGraphs.easy(sp)
+    val k = g.config.k
+    val x = Hope.embed(g.edges, k, Hope.Params(powerIters = 8, seed = 3))
+    val l = HopePlus.leftSingular(x, k).transform(Block.localize)
+    def sorted(a: org.apache.spark.sql.DataFrame) = a.as[(Long, Int)].collect().sortBy(_._1).toSeq
+    val runs = Seq(1, 4, 16).map { p =>
+      val (xp, lp) = (x.repartition(p), l.repartition(p))
+      assert(xp.rdd.getNumPartitions == p && lp.rdd.getNumPartitions == p)
+      (sorted(KMeansD.run(xp, k, seed = 3)),
+       sorted(HopePlus.round(lp, k, HopePlus.Fnem, maxRounds = 30)),
+       sorted(HopePlus.round(lp, k, HopePlus.Snem, maxRounds = 30)))
+    }
+    runs.tail.foreach(r => assert(r == runs.head))
+  }
+
+  test("KMeansD.run and both rounding variants leave only what they return persisted") {
+    val g = TestGraphs.easy(sp)
+    val k = g.config.k
+    val x = Hope.embed(g.edges, k, Hope.Params(powerIters = 2, seed = 3))
+    val l = HopePlus.leftSingular(x, k).transform(Block.localize)
+    val leaked = leakedBy(Seq(KMeansD.run(x, k, seed = 3),
+                              HopePlus.round(l, k, HopePlus.Fnem, maxRounds = 30),
+                              HopePlus.round(l, k, HopePlus.Snem, maxRounds = 30)))
+    assert(leaked.isEmpty, s"still persisted: ${leaked.mkString(", ")}")
   }
 
   test("rounding converges well before the iteration cap on easy input") {

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.linalg.{BRow, Local}
+import repro.linalg.{BRow, Block, Local}
 
 /** Distributed Lloyd k-means on separable synthetic blobs. */
 class KMeansDSpec extends SparkSpec {
@@ -38,6 +38,55 @@ class KMeansDSpec extends SparkSpec {
     val a = KMeansD.run(x, 3, seed = 9).collect().map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1)
     val b = KMeansD.run(x, 3, seed = 9).collect().map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1)
     assert(a.sameElements(b))
+  }
+
+  /** Sequential Lloyd restarts on the collected rows, with the seeding
+    * sample, restart seeds, empty-cluster re-seeding, stop rule and
+    * earliest-wins choice that `KMeansD.run` documents.
+    */
+  private def localKMeans(rows: Map[Long, Array[Double]], k: Int, maxIters: Int, seed: Long,
+                          sampleSize: Int, tol: Double = 1e-6, restarts: Int = 3): Map[Long, Int] = {
+    val ids = rows.keys.toArray.sorted
+    val sample = ids.sortBy(id => (Local.mix(seed ^ id), id)).take(math.max(k, sampleSize)).sorted.map(rows)
+    def nearest(v: Array[Double], cs: Array[Array[Double]]) = cs.indices.minBy(c => Local.sqDist(v, cs(c)))
+    def lloyd(restartSeed: Long): (Array[Array[Double]], Double) = {
+      var centers = KMeansD.plusPlusSeed(sample, k, restartSeed)
+      var iter = 0
+      var shift = Double.MaxValue
+      while (iter < maxIters && shift > tol) {
+        val assign = ids.map(id => nearest(rows(id), centers))
+        val rng = new java.util.Random(Local.mix(restartSeed + iter))
+        val next = Array.tabulate(k) { c =>
+          val members = ids.indices.filter(assign(_) == c).map(i => rows(ids(i)))
+          if (members.isEmpty) sample(rng.nextInt(sample.length)).clone()
+          else Local.axpy(1.0 / members.length, members.map(_.clone()).reduceLeft(Local.addInPlace))
+        }
+        shift = centers.zip(next).map { case (a, b) => Local.sqDist(a, b) }.max
+        centers = next
+        iter += 1
+      }
+      (centers, ids.map(id => Local.sqDist(rows(id), centers(nearest(rows(id), centers)))).sum)
+    }
+    val (best, _) = (0 until restarts).map(r => lloyd(seed + 1000L * r))
+      .reduceLeft[(Array[Array[Double]], Double)] { (a, b) => if (b._2 < a._2 * (1 - 1e-9) - 1e-12) b else a }
+    ids.map(id => id -> nearest(rows(id), best)).toMap
+  }
+
+  test("lockstep restarts match sequential local Lloyd restarts") {
+    import sp.implicits._
+    // Overlapping blobs (restarts disagree), a bottom-k sample smaller than
+    // the input, an iteration cap that stops some restarts early, and 5
+    // distinct points for 7 clusters (empty clusters every pass; their
+    // re-seeds land on duplicate points, so they move no assignment).
+    val (overlap, _) = blobs(300, 4, 4, sep = 0.15, seed = 11)
+    val dup = (0 until 60).map(i => BRow(i.toLong, Array(i % 5 * 1.0, (i % 5) * (i % 5) * 0.5))).toDS()
+    Seq((overlap, 4, 25, 4096), (overlap, 4, 3, 40), (overlap.repartition(7), 5, 25, 60), (dup, 7, 6, 4096))
+      .zipWithIndex.foreach { case ((x, k, iters, sampleSize), n) =>
+        val got = KMeansD.run(x, k, maxIters = iters, seed = 13 + n, sampleSize = sampleSize)
+          .as[(Long, Int)].collect().toMap
+        val want = localKMeans(Block.collectMap(x), k, iters, seed = 13 + n, sampleSize)
+        assert(got == want, s"case $n")
+      }
   }
 
   test("rejects k greater than the number of rows") {

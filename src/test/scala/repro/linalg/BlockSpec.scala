@@ -71,17 +71,9 @@ class BlockSpec extends SparkSpec {
     x.unpersist()
   }
 
-  test("pairGram equals XᵀY with join semantics") {
-    val rnd = new Random(7)
-    val x = (0L until 20L).map(i => i -> Array.fill(3)(rnd.nextGaussian())).toMap
-    val y = (5L until 25L).map(i => i -> Array.fill(4)(rnd.nextGaussian())).toMap
-    val g = Block.pairGram(mkDense(x), mkDense(y))
-    val expected = Local.zeros(3, 4)
-    for (id <- 5L until 20L) {
-      val xv = x(id); val yv = y(id)
-      for (i <- 0 until 3; j <- 0 until 4) expected(i)(j) += xv(i) * yv(j)
-    }
-    assert(Local.maxAbsDiff(g, expected) < 1e-10)
+  test("gram rejects an empty block") {
+    val e = intercept[IllegalArgumentException](Block.gram(mkDense(Map.empty)))
+    assert(e.getMessage.contains("empty"))
   }
 
   test("timesLocal right-multiplies every row") {
@@ -130,7 +122,9 @@ class BlockSpec extends SparkSpec {
     val x = Block.gaussianBlock(ids, 3, 31).cache()
     val q = Block.orthonormalize(x).cache()
     // Projection of X onto span(Q) must reproduce X: X = Q (Qᵀ X).
-    val qtx = Block.pairGram(q, x)
+    val (qRows, xRows) = (Block.collectMap(q), Block.collectMap(x))
+    val qtx = Local.zeros(3, 3)
+    for ((id, qv) <- qRows; xv = xRows(id); i <- 0 until 3; j <- 0 until 3) qtx(i)(j) += qv(i) * xv(j)
     val recon = Block.collectMap(Block.timesLocal(q, qtx))
     val orig = Block.collectMap(x)
     orig.foreach { case (id, v) =>

@@ -175,4 +175,28 @@ class SparseOpSpec extends SparkSpec {
     assert(Local.maxAbsDiff(g, wantG) < 1e-10)
     assert(Local.maxAbsDiff(pg, wantPg) < 1e-10)
   }
+
+  test("pairGram equals XᵀY with join semantics") {
+    val rnd = new Random(7)
+    val x = (0L until 20L).map(i => i -> Array.fill(3)(rnd.nextGaussian())).toMap
+    val y = (5L until 25L).map(i => i -> Array.fill(4)(rnd.nextGaussian())).toMap
+    val op = mkOp(input(7)._1)
+    val g = SparseOp.pairGram(op.coPartition(mkDense(x)), op.coPartition(mkDense(y)))
+    val expected = Local.zeros(3, 4)
+    for (id <- 5L until 20L) {
+      val xv = x(id); val yv = y(id)
+      for (i <- 0 until 3; j <- 0 until 4) expected(i)(j) += xv(i) * yv(j)
+    }
+    assert(Local.maxAbsDiff(g, expected) < 1e-10)
+  }
+
+  test("gram and pairGram reject an empty block") {
+    val op = mkOp(input(17)._1)
+    val x = op.coPartition(mkDense((0L until 5L).map(i => i -> Array(1.0, 2.0)).toMap))
+    val empty = op.coPartition(mkDense(Map.empty))
+    Seq(intercept[IllegalArgumentException](SparseOp.gram(empty)),
+        intercept[IllegalArgumentException](SparseOp.pairGram(x, empty)),
+        intercept[IllegalArgumentException](SparseOp.pairGram(empty, x)))
+      .foreach(e => assert(e.getMessage.contains("empty")))
+  }
 }
