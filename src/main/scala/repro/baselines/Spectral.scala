@@ -25,16 +25,15 @@ object SpectralBaselines {
   /** `f` applied to Dhillon's co-embedding: the top `n` singular triplets
     * `(u_i, σ_i, v_i)` of `An = D_u^{-1/2} A D_v^{-1/2}`, as the block U over
     * u ids and the block `V = Anᵀ U Σ⁻¹` under ids `−1−v`, so U ∪ V is one
-    * id space. As in [[SubspaceIteration.topLeftSingular]], `f` materialises
+    * id space. `Anᵀ U` is the Rayleigh–Ritz product the iteration already
+    * made. As in [[SubspaceIteration.topLeftSingular]], `f` materialises
     * what it returns.
     */
-  private[baselines] def coEmbedding[T](a: SparseOp, n: Int, seed: Long)(f: (Rows, Rows) => T): T = {
-    val an = a.scaled(-0.5, -0.5)
-    SubspaceIteration.topLeftSingular(an, n, PowerIters, seed) { (u, sv) =>
+  private[baselines] def coEmbedding[T](a: SparseOp, n: Int, seed: Long)(f: (Rows, Rows) => T): T =
+    SubspaceIteration.topLeftSingular(a.scaled(-0.5, -0.5), n, PowerIters, seed) { (u, anTu, sv) =>
       val inv = sv.map(s => if (s > 1e-12) 1.0 / s else 0.0)
-      f(u, an.mul(u).map { case (id, x) => (-1L - id, Array.tabulate(x.length)(j => x(j) * inv(j))) })
+      f(u, anTu.map { case (id, x) => (-1L - id, Array.tabulate(x.length)(j => x(j) * inv(j))) })
     }
-  }
 
   /** Joint k-means over the row-normalised co-embedding of U ∪ V, with the
     * first `drop` vectors left out; returns the U memberships.
@@ -87,7 +86,7 @@ object SpectralBaselines {
 
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
       BipartiteGraph.withOperator(edges) { a =>
-        SubspaceIteration.topLeftSingular(a.scaled(-1.0, -1.0), k, PowerIters, seed) { (u, _) =>
+        SubspaceIteration.topLeftSingular(a.scaled(-1.0, -1.0), k, PowerIters, seed) { (u, _, _) =>
           KMeansD.run(Block.normalizeRows(SparseOp.toDataset(u)), k, seed = seed)
         }
       }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.linalg.SparseOp
+import repro.linalg.{Block, SparseOp}
 
 /** The paper's matrices over a weighted bipartite edge list.
   *
@@ -21,7 +21,8 @@ import repro.linalg.SparseOp
   */
 object BipartiteGraph {
 
-  /** The operator of A (rows u, columns v, entries w), uncached.
+  /** The operator of A (rows u, columns v, entries w), uncached. The input
+    * check runs as Spark jobs labelled `operator/check`.
     *
     * @throws IllegalArgumentException naming the first bad edge in (u, v)
     *         order if a weight is NaN, infinite or ≤ 0, or an id is < 0 —
@@ -30,7 +31,10 @@ object BipartiteGraph {
   def operator(edges: DataFrame): SparseOp = {
     val ok = col("u") >= 0 && col("v") >= 0 && col("w") > 0 && !isnan(col("w")) &&
       col("w") < Double.PositiveInfinity
-    edges.where(!coalesce(ok, lit(false))).orderBy("u", "v").select("u", "v", "w").head(1).foreach { e =>
+    val firstBad = Block.labelJobs(edges.sparkSession.sparkContext, "operator/check") {
+      edges.where(!coalesce(ok, lit(false))).orderBy("u", "v").select("u", "v", "w").head(1)
+    }
+    firstBad.foreach { e =>
       throw new IllegalArgumentException(
         s"bad edge (u=${e.get(0)}, v=${e.get(1)}, w=${e.get(2)}): ids must be ≥ 0 and weights finite and > 0")
     }

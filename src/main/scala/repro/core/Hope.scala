@@ -10,8 +10,12 @@ import repro.linalg.{BRow, Block, SparseOp, SubspaceIteration}
   *    `y ↦ Q(Qᵀ y)`, so neither `Q Qᵀ` nor the HOP matrix H is materialised).
   * 2. `X̂ = P U (1-α)/(1-α Σ²)` (Eq. 8), then L2-normalise rows → X, the
   *    low-rank approximation of the HOP matrix (Theorem 3.2). With
-  *    `P = D_u⁻¹A` the row normalisation cancels `D_u⁻¹`, so X is the
-  *    row-normalised `A U (1-α)/(1-α Σ²)`: one more product with A.
+  *    `P = D_u⁻¹A` the row normalisation cancels `D_u⁻¹`, and any other
+  *    positive row scaling, so X is the row-normalised
+  *    `D_u^{-1/2} A U (1-α)/(1-α Σ²)`. `U = V W` for the iteration's last
+  *    block V and its Ritz rotation W, and `D_u^{-1/2} A V = Qᵀ D_v^{1/2} V`:
+  *    the Rayleigh–Ritz product `Qᵀ [V | D_v^{1/2} V]` yields X alongside
+  *    the Ritz matrix, with no product of its own.
   * 3. k-Means over the rows of X.
   */
 object Hope {
@@ -29,18 +33,26 @@ object Hope {
     * HOPE and HOPE+. Rows are keyed by U-side vertex id and L2-normalised.
     */
   def embed(edges: DataFrame, k: Int, params: Params): Dataset[BRow] =
-    BipartiteGraph.withOperator(edges) { a =>
-      SubspaceIteration.topLeftSingular(a.scaled(-0.5, -0.5).t, params.betaFor(k), params.powerIters,
-                                        params.seed) { (uVecs, sigma) =>
-        // Eigenvalues of QQᵀ are σ² ∈ [0,1] (Lemma 3.1 proof); clamp for safety.
-        val factors = sigma.map { s =>
-          val lam = math.min(math.max(s * s, 0.0), 1.0 - 1e-12)
-          (1.0 - params.alpha) / (1.0 - params.alpha * lam)
-        }
-        val scaled = uVecs.mapValues(u => Array.tabulate(u.length)(j => u(j) * factors(j)))
-        Block.localize(Block.normalizeRows(SparseOp.toDataset(a.mulT(scaled))))
+    BipartiteGraph.withOperator(edges)(embed(_, k, params))
+
+  /** [[embed]] on the cached operator `a` of the graph's biadjacency. */
+  private[core] def embed(a: SparseOp, k: Int, params: Params): Dataset[BRow] = {
+    val q = a.scaled(-0.5, -0.5).t
+    val beta = params.betaFor(k)
+    SubspaceIteration.topLeftSingular(q, beta, params.powerIters, params.seed,
+                                      extra = Some(q.degreeScale(_, 0.5))) { (_, p, sigma) =>
+      // Eigenvalues of QQᵀ are σ² ∈ [0,1] (Lemma 3.1 proof); clamp for safety.
+      val factors = sigma.map { s =>
+        val lam = math.min(math.max(s * s, 0.0), 1.0 - 1e-12)
+        (1.0 - params.alpha) / (1.0 - params.alpha * lam)
+      }
+      // p's second β columns are `D_u^{-1/2} A V W`.
+      val xHat = p.mapValues(r => Array.tabulate(beta)(j => r(beta + j) * factors(j)))
+      Block.labelJobs(p.sparkContext, "embed/x") {
+        Block.localize(Block.normalizeRows(SparseOp.toDataset(xHat)))
       }
     }
+  }
 
   /** Full HOPE: returns cluster assignments `(id, cluster)` for the U side. */
   def run(edges: DataFrame, k: Int, params: Params = Params()): DataFrame = {

@@ -12,7 +12,9 @@ import repro.linalg.{BRow, Block, Local, SparseOp}
   *
   * Stage 2: greedy seeding of the cluster indicator C (argmax per row of L),
   * then alternating rounding between the k×k alignment T and C:
-  *  - FNEM: `T = Φ Ψᵀ` where `Φ Σ Ψᵀ = SVD(Lᵀ C)` (Lemma 4.4, Procrustes);
+  *  - FNEM: `T = Φ Ψᵀ` where `Φ Σ Ψᵀ = SVD(Lᵀ C)` (Lemma 4.4, Procrustes;
+  *    with a deterministic completion when a cluster is empty, see
+  *    [[procrustes]]);
   *  - SNEM: `T = Lᵀ C`                                  (Lemma 4.5).
   * C's column normalisation (1/√|C_j|) is folded into the local `Lᵀ C`
   * computation; the returned result is the assignment `(id, cluster)`.
@@ -78,19 +80,18 @@ object HopePlus {
       var t = Local.eye(k)
       var rounds = 0
       if (maxRounds > 0) {
-        var (m, _) = Block.labelJobs(sc, s"$label/seed")(pass(rows, t, null, k))
+        var (m, sizes, _) = Block.labelJobs(sc, s"$label/seed")(pass(rows, t, null, k))
         var changed = -1L
         while (rounds < maxRounds && changed != 0L) {
           val prev = t
           t = urt match {
-            case Fnem =>
-              val (phi, _, v) = Local.svdSmall(m)
-              Local.matmul(phi, Local.transpose(v))
+            case Fnem => procrustes(m, sizes, prev)
             case Snem => m
           }
           rounds += 1
-          val (next, c) = Block.labelJobs(sc, s"$label/round $rounds")(pass(rows, t, prev, k))
+          val (next, nextSizes, c) = Block.labelJobs(sc, s"$label/round $rounds")(pass(rows, t, prev, k))
           m = next
+          sizes = nextSizes
           changed = c
         }
       }
@@ -102,13 +103,49 @@ object HopePlus {
     } finally rows.unpersist()
   }
 
+  /** FNEM's T for `LᵀC` (Lemma 4.4): the orthogonal polar factor `ΦΨᵀ` of
+    * `Φ Σ Ψᵀ = SVD(Lᵀ C)`.
+    *
+    * An empty cluster makes its column of `LᵀC` zero, and the polar factor
+    * of a singular matrix is not unique: the completion an SVD returns is
+    * then decided by rounding noise, e.g. by the order in which partial sums
+    * were added. So if some cluster size is 0 (a case the paper does not
+    * discuss), the non-empty columns get the polar factor `U_r` of their own
+    * columns of `LᵀC` — unique when they are independent — and the empty
+    * columns the polar factor of `(I − U_r U_rᵀ) T_prev[:, empty]`, the
+    * previous alignment of those clusters projected off `U_r`. Without empty
+    * clusters this is the plain polar factor.
+    */
+  private def procrustes(ltc: Local.Mat, sizes: Array[Long], prev: Local.Mat): Local.Mat = {
+    def polar(a: Local.Mat): Local.Mat = {
+      val (phi, _, v) = Local.svdSmall(a)
+      Local.matmul(phi, Local.transpose(v))
+    }
+    val (full, empty) = sizes.indices.partition(sizes(_) > 0)
+    if (empty.isEmpty) polar(ltc)
+    else {
+      def columns(a: Local.Mat, js: Seq[Int]): Local.Mat = a.map(r => js.map(r(_)).toArray)
+      val ur = polar(columns(ltc, full))
+      val pe = columns(prev, empty)
+      val fill = polar(Local.add(pe, Local.scale(Local.matmul(ur, Local.matmul(Local.transpose(ur), pe)), -1.0)))
+      val t = Local.zeros(ltc.length, sizes.length)
+      for (i <- t.indices) {
+        full.indices.foreach(c => t(i)(full(c)) = ur(i)(c))
+        empty.indices.foreach(c => t(i)(empty(c)) = fill(i)(c))
+      }
+      t
+    }
+  }
+
   /** One pass over the rows of L: `C = argmax` under `t` (Lines 8–11,
     * Alg. 3), and `Lᵀ C` as a local k×k matrix with C's 1/√|C_j|
     * normalisation applied — column j is `(Σ_{i ∈ C_j} L_i) / √|C_j|` —
-    * together with the number of rows whose argmax under `prev` (if not
-    * null) differs. Per-partition partials are added in partition order.
+    * together with the cluster sizes `|C_j|` and the number of rows whose
+    * argmax under `prev` (if not null) differs. Per-partition partials are
+    * added in partition order.
     */
-  private def pass(rows: RDD[(Long, Array[Double])], t: Local.Mat, prev: Local.Mat, k: Int): (Local.Mat, Long) = {
+  private def pass(rows: RDD[(Long, Array[Double])], t: Local.Mat, prev: Local.Mat,
+                   k: Int): (Local.Mat, Array[Long], Long) = {
     val parts = rows.mapPartitions { it =>
       val sums = new Array[Double](k * k) // sums(j·k + a) = Σ_{i ∈ C_j} L_i(a)
       val sizes = new Array[Long](k)
@@ -123,16 +160,16 @@ object HopePlus {
       Iterator.single((sums, sizes, changed))
     }.collect()
     val sums = Block.sumInOrder(parts.map(_._1))
+    val sizes = Array.tabulate(k)(j => parts.map(_._2(j)).sum)
     val m = Local.zeros(k, k)
     (0 until k).foreach { j =>
-      val n = parts.map(_._2(j)).sum
-      if (n > 0) {
-        val inv = 1.0 / math.sqrt(n.toDouble)
+      if (sizes(j) > 0) {
+        val inv = 1.0 / math.sqrt(sizes(j).toDouble)
         var a = 0
         while (a < k) { m(a)(j) = sums(j * k + a) * inv; a += 1 }
       }
     }
-    (m, parts.map(_._3).sum)
+    (m, sizes, parts.map(_._3).sum)
   }
 
   /** Full HOPE+ for one rounding scheme. */

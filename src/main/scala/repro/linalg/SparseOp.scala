@@ -13,8 +13,12 @@ import org.apache.spark.storage.StorageLevel
 /** A sparse matrix partitioned once, for repeated sparse × dense products.
   *
   * Built from an edge DataFrame `(row, col, w)`, it holds two CSR copies of
-  * the matrix under one `HashPartitioner(spark.sql.shuffle.partitions)`: one
-  * grouped by row id, one grouped by column id (the transpose). Dense blocks
+  * the matrix under one `HashPartitioner` with one partition per core
+  * (`defaultParallelism`): one grouped by row id, one grouped by column id
+  * (the transpose). An output row gets one partial sum from every partition
+  * that holds one of its entries, so a product's shuffle and task count grow
+  * with the number of partitions; one per core keeps every core busy and no
+  * more partial sums than that. Dense blocks
   * it multiplies are [[SparseOp.Rows]] under the same partitioner, so row `r`
   * of the block and row `r` of the matrix sit in the same partition and a
   * product is a `zipPartitions`: each partition accumulates its share of the
@@ -63,8 +67,7 @@ final class SparseOp private (private[linalg] val rows: RDD[SparseOp.Csr],
     * by row id.
     */
   def mul(y: Rows): Rows = {
-    require(y.partitioner.contains(partitioner),
-      s"dense block is partitioned by ${y.partitioner}, not by the operator's $partitioner")
+    requireCoPartitioned(y)
     val (a, b) = (rowPow, colPow)
     val partials = rows.zipPartitions(y) { (csrs, ys) =>
       csrs.next().times(ys, a, TaskContext.getPartitionId())
@@ -78,6 +81,27 @@ final class SparseOp private (private[linalg] val rows: RDD[SparseOp.Csr],
     * by column id.
     */
   def mulT(y: Rows): Rows = t.mul(y)
+
+  /** `D_r^pow · y`: row `id` of the co-partitioned block `y`, a row id of
+    * this matrix, scaled by the `pow`-th power of the matrix's raw row sum
+    * (the `D_r` of [[scaled]], whatever this view's own scaling).
+    */
+  def degreeScale(y: Rows, pow: Double): Rows = {
+    requireCoPartitioned(y)
+    rows.zipPartitions(y, preservesPartitioning = true) { (csrs, ys) =>
+      val csr = csrs.next()
+      ys.map { case (id, v) =>
+        val i = Arrays.binarySearch(csr.rowIds, id)
+        require(i >= 0, s"row $id of the block is not a row of the matrix")
+        val s = csr.degreePow(i, pow)
+        (id, v.map(_ * s))
+      }
+    }
+  }
+
+  private def requireCoPartitioned(y: Rows): Unit =
+    require(y.partitioner.contains(partitioner),
+      s"dense block is partitioned by ${y.partitioner}, not by the operator's $partitioner")
 
   /** A block with one row `f(id)` per row id of the matrix, co-partitioned
     * with it; `f` must be a pure function of the id.
@@ -113,11 +137,17 @@ object SparseOp {
     * `(row, col)` pairs add up. Entries are taken as given: a scaled view
     * of a matrix with a zero or negative row or column sum is not defined.
     */
-  def apply(edges: DataFrame, rowCol: String, colCol: String, wCol: String = "w"): SparseOp = {
-    val spark = edges.sparkSession
-    val p = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
-    val e = edges.select(col(rowCol).cast("long"), col(colCol).cast("long"), col(wCol).cast("double"))
-      .rdd.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
+  def apply(edges: DataFrame, rowCol: String, colCol: String, wCol: String = "w"): SparseOp =
+    apply(edges, rowCol, colCol, wCol, edges.sparkSession.sparkContext.defaultParallelism)
+
+  /** [[apply]] under `numPartitions` partitions instead of one per core. */
+  private[linalg] def apply(edges: DataFrame, rowCol: String, colCol: String, wCol: String,
+                            numPartitions: Int): SparseOp = {
+    val p = new HashPartitioner(numPartitions)
+    // Under AQE, `.rdd` runs the shuffle stages of the edges' own plan.
+    val e = Block.labelJobs(edges.sparkSession.sparkContext, "operator/build") {
+      edges.select(col(rowCol).cast("long"), col(colCol).cast("long"), col(wCol).cast("double")).rdd
+    }.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
     def grouped(byRow: Boolean): RDD[Csr] =
       e.map { case (r, c, w) => if (byRow) (r, (c, w)) else (c, (r, w)) }
         .partitionBy(p)
@@ -237,23 +267,6 @@ object SparseOp {
     Block.unflatten(Block.sumInOrder(parts), math.sqrt(parts.head.length.toDouble).round.toInt)
   }
 
-  /** Pair Gram `XᵀY` over the ids both co-partitioned blocks hold. */
-  def pairGram(x: Rows, y: Rows): Local.Mat = {
-    val parts = x.zipPartitions(y) { (xs, ys) =>
-      var acc: Array[Double] = null
-      var cols = 0
-      mergeLeft(xs, ys).foreach { case (_, xv, yv) =>
-        if (yv != null) {
-          if (acc == null) { cols = yv.length; acc = new Array[Double](xv.length * cols) }
-          Block.outerInto(acc, xv, yv)
-        }
-      }
-      Option(acc).iterator.map(a => (cols, a))
-    }.collect()
-    require(parts.nonEmpty, "pairGram: the block is empty (no row id is in both blocks)")
-    Block.unflatten(Block.sumInOrder(parts.map(_._2)), parts.head._1)
-  }
-
   /** `f(x_i, y_i)` for every row `x_i` of `x`, with `y_i` the row of equal
     * id in the co-partitioned block `y`, or null.
     */
@@ -262,11 +275,11 @@ object SparseOp {
       mergeLeft(xs, ys).map { case (id, xv, yv) => (id, f(xv, yv)) }
     }
 
-  /** Right-multiply every row by a local matrix: `out_i = x_i · M`. */
-  def timesLocal(x: Rows, m: Local.Mat): Rows = {
-    val bc = x.sparkContext.broadcast(m)
-    x.mapValues(v => Local.vecMat(v, bc.value))
-  }
+  /** Right-multiply every row by a local matrix: `out_i = x_i · M`. `M`
+    * (at most a few hundred KB) travels in the task closure, so nothing
+    * outlives the call.
+    */
+  def timesLocal(x: Rows, m: Local.Mat): Rows = x.mapValues(v => Local.vecMat(v, m))
 
   /** Each row of `xs` with the row of equal id in `ys`, or null; both
     * iterators ascend by id.
@@ -280,15 +293,10 @@ object SparseOp {
     }
   }
 
-  /** The block as a `Dataset[BRow]`, the interface between pipeline stages.
-    * Adjacent partitions are merged, without a shuffle, down to one per core,
-    * as AQE coalesces a small shuffle's output: the per-row stages that
-    * follow (k-means, rounding) pay per task, not per row.
-    */
+  /** The block as a `Dataset[BRow]`, the interface between pipeline stages. */
   def toDataset(x: Rows): Dataset[BRow] = {
     val spark = SparkSession.active
     import spark.implicits._
-    val parts = math.min(x.getNumPartitions, spark.sparkContext.defaultParallelism)
-    spark.createDataset(x.coalesce(parts).map { case (id, v) => BRow(id, v) })
+    spark.createDataset(x.map { case (id, v) => BRow(id, v) })
   }
 }

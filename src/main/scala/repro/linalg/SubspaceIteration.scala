@@ -12,10 +12,14 @@ import repro.linalg.SparseOp.Rows
   * also the engine behind every spectral baseline's truncated SVD.
   *
   * The iterated block stays co-partitioned with the operator from the first
-  * step to the last. A power step is one Spark job: the Gram `XᵀX` of the
-  * new block `X = M Mᵀ V`, which also materialises `X` in the cache; `X R⁻¹`
-  * is a per-row map. Every block the loop persists is released before the
-  * call returns.
+  * step to the last. A power step is one Spark job (`subspace/step n`): the
+  * Gram `XᵀX` of the new block `X = M Mᵀ V`, which also materialises `X` in
+  * the cache; `X R⁻¹` is a per-row map. The Rayleigh–Ritz tail is one
+  * product and one job (`subspace/ritz`): `VᵀMMᵀV` is the Gram of
+  * `B = MᵀV`, whose eigenvectors W rotate V onto the singular vectors
+  * `U = V W` and B onto `MᵀU` — the randomized-SVD step "form `B = QᵀA`,
+  * take its SVD" (Halko, Martinsson & Tropp, SIAM Review 2011, §5.1). Every
+  * block the loop persists is released before the call returns.
   */
 object SubspaceIteration {
 
@@ -24,48 +28,60 @@ object SubspaceIteration {
     */
   private val Oversample = 4
 
-  /** `f` applied to the top-β left singular vectors and the singular values
-    * (descending) of the matrix `m`, which the caller owns and caches (every
-    * power step reads it twice).
+  /** `f(u, p, σ)` for the top-β left singular vectors `u` and singular values
+    * `σ` (descending) of the matrix `m`, which the caller owns and caches
+    * (every power step reads it twice).
     *
-    * The singular-vector block, over M's row ids and co-partitioned with
-    * `m`, is read from blocks this call persists and releases when `f`
-    * returns, so `f` materialises whatever it returns that reads the block.
+    * The tail multiplies the converged block V, widened by `extra(V)` if
+    * given, once by `Mᵀ`; `p` is that product with each V-wide slice
+    * rotated like V: its first β columns are `MᵀU` (= `U Σ` mapped to M's
+    * column side), and with `extra` the next β are `Mᵀ extra(V) W`.
+    * `extra` maps V to a co-partitioned block of V's width. `u` is over M's
+    * row ids and `p` over its column ids, both co-partitioned with `m`, read
+    * from blocks this call persists and releases when `f` returns, so `f`
+    * materialises whatever it returns that reads them.
     *
     * @param beta       number of singular pairs
     * @param powerIters number of power-iteration steps (each = one product
     *                   with `M Mᵀ` + re-orthonormalisation)
     */
-  def topLeftSingular[T](m: SparseOp, beta: Int, powerIters: Int, seed: Long)
-                        (f: (Rows, Array[Double]) => T): T = {
-    def mmt(v: Rows): Rows = m.mulT(m.mul(v))
+  def topLeftSingular[T](m: SparseOp, beta: Int, powerIters: Int, seed: Long,
+                         extra: Option[Rows => Rows] = None)
+                        (f: (Rows, Rows, Array[Double]) => T): T = {
+    val sc = m.rows.sparkContext
     var live = List.empty[Rows] // blocks this loop persisted and has not released
-    // `X R⁻¹`, persisted: the next step reads it twice (Rayleigh–Ritz) or
-    // more. The Gram job materialises `x`, after which the blocks of earlier
-    // steps are no longer read.
-    def orthonormalize(x: Rows): Rows = {
+    // `X R⁻¹`, persisted: the next step reads it twice. The Gram job
+    // materialises `x`, after which the blocks of earlier steps are no
+    // longer read.
+    def orthonormalize(x: Rows, label: String): Rows = {
       val earlier = live
       live = x.persist(SparseOp.Level) :: live
-      val g = SparseOp.gram(x)
+      val g = Block.labelJobs(sc, label)(SparseOp.gram(x))
       earlier.foreach(_.unpersist())
       val v = SparseOp.timesLocal(x, Block.rInverse(g)).persist(SparseOp.Level)
       live = List(v, x)
       v
     }
     try {
+      val width = beta + Oversample
       // The random start enters as drawn: `X R⁻¹` spans what X spans, so only
       // a call without power steps needs it orthonormalised.
-      var v = m.block(Local.gaussianVec(seed, _, beta + Oversample))
-      if (powerIters == 0) v = orthonormalize(v)
+      var v = m.block(Local.gaussianVec(seed, _, width))
+      if (powerIters == 0) v = orthonormalize(v, "subspace/start")
       var t = 0
       while (t < powerIters) {
-        v = orthonormalize(mmt(v))
         t += 1
+        v = orthonormalize(m.mulT(m.mul(v)), s"subspace/step $t")
       }
       // Rayleigh–Ritz: rotate the converged subspace onto eigenvector axes and
       // drop the guard columns.
-      val (w, lambda) = Local.symEigDesc(SparseOp.pairGram(v, mmt(v)))
-      f(SparseOp.timesLocal(v, w.map(_.take(beta))), lambda.take(beta).map(x => math.sqrt(math.max(x, 0.0))))
+      val y = extra.fold(v)(e => SparseOp.zipRows(v, e(v))(_ ++ _))
+      val p = m.mul(y).persist(SparseOp.Level)
+      live = p :: live
+      val (w, lambda) = Local.symEigDesc(Block.labelJobs(sc, "subspace/ritz")(SparseOp.gram(p.mapValues(_.take(width)))))
+      val rot = w.map(_.take(beta))
+      val rotated = p.mapValues(_.grouped(width).flatMap(Local.vecMat(_, rot)).toArray)
+      f(SparseOp.timesLocal(v, rot), rotated, lambda.take(beta).map(x => math.sqrt(math.max(x, 0.0))))
     } finally live.foreach(_.unpersist())
   }
 
@@ -82,7 +98,7 @@ object SubspaceIteration {
                       powerIters: Int,
                       seed: Long): (Dataset[BRow], Array[Double]) = {
     val m = SparseOp(edges, rowCol, colCol, wCol).cache()
-    try topLeftSingular(m, beta, powerIters, seed) { (vecs, sigma) =>
+    try topLeftSingular(m, beta, powerIters, seed) { (vecs, _, sigma) =>
       val kept = vecs.localCheckpoint()
       kept.count()
       (SparseOp.toDataset(kept), sigma)

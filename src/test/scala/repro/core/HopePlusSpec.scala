@@ -1,7 +1,8 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
-import repro.linalg.{Block, Local}
+import repro.data.BipartiteGen
+import repro.linalg.{Block, Local, Operators}
 
 /** HOPE+ (Algorithms 2–3): both rounding schemes, eigen stage, convergence. */
 class HopePlusSpec extends SparkSpec {
@@ -58,14 +59,23 @@ class HopePlusSpec extends SparkSpec {
     assert(math.abs(trace - lam.take(k).sum) < 1e-6 * math.max(1.0, lam.take(k).sum))
   }
 
+  /** The orthogonal polar factor `ΦΨᵀ` of `a = ΦΣΨᵀ`. */
+  private def polar(a: Local.Mat): Local.Mat = {
+    val (phi, _, v) = Local.svdSmall(a)
+    Local.matmul(phi, Local.transpose(v))
+  }
+
   /** Algorithm 3 on the collected L: argmax under I, then `Lᵀ C → T →
     * argmax` until no row changes or `maxRounds` rounds. Returns the
-    * assignment and the number of rounds run.
+    * assignment and the number of rounds run. With empty clusters, FNEM's T
+    * is the polar factor of the non-empty columns of `LᵀC`, completed by the
+    * polar factor of the previous T's empty columns projected off it.
     */
   private def localRounding(l: Map[Long, Array[Double]], k: Int, urt: HopePlus.Urt,
                             maxRounds: Int): (Map[Long, Int], Int) = {
     def argmaxUnder(t: Local.Mat) = l.map { case (id, v) => id -> Local.argmax(Local.vecMat(v, t)) }
-    var assign = argmaxUnder(Local.eye(k))
+    var t = Local.eye(k)
+    var assign = argmaxUnder(t)
     var rounds = 0
     var changed = -1
     while (rounds < maxRounds && changed != 0) {
@@ -74,10 +84,16 @@ class HopePlusSpec extends SparkSpec {
         members.keys.foreach(id => (0 until k).foreach(a => ltc(a)(j) += l(id)(a)))
         (0 until k).foreach(a => ltc(a)(j) /= math.sqrt(members.size.toDouble))
       }
-      val t = urt match {
+      val (full, empty) = (0 until k).partition(assign.values.toSet)
+      t = urt match {
+        case HopePlus.Fnem if empty.isEmpty => polar(ltc)
         case HopePlus.Fnem =>
-          val (phi, _, v) = Local.svdSmall(ltc)
-          Local.matmul(phi, Local.transpose(v))
+          val ur = polar(ltc.map(r => full.map(r(_)).toArray))
+          val proj = Array.tabulate(k, empty.size) { (i, c) =>
+            t(i)(empty(c)) - full.indices.map(a => ur(i)(a) * (0 until k).map(r => ur(r)(a) * t(r)(empty(c))).sum).sum
+          }
+          val fill = polar(proj)
+          Array.tabulate(k, k)((i, j) => if (full.contains(j)) ur(i)(full.indexOf(j)) else fill(i)(empty.indexOf(j)))
         case HopePlus.Snem => ltc
       }
       val next = argmaxUnder(t)
@@ -120,6 +136,45 @@ class HopePlusSpec extends SparkSpec {
        sorted(HopePlus.round(lp, k, HopePlus.Snem, maxRounds = 30)))
     }
     runs.tail.foreach(r => assert(r == runs.head))
+  }
+
+  test("the HOPE / HOPE+ request does not depend on the operator's partition count") {
+    val spark2 = sp
+    import spark2.implicits._
+    // The corafull-wide benchmark shape (generator seed 2200): k = 70 and
+    // β = 160, where FNEM's greedy seeding leaves clusters empty.
+    val wide = BipartiteGen.planted(sp, BipartiteGen.Config(
+      nU = 2475, nV = 8700, k = 70, targetEdges = 141250, hubFrac = 0.05, sizeSkew = 1.4, seed = 2200))
+    val inputs = Seq(("easy", TestGraphs.easy(sp), Hope.Params(powerIters = 8, seed = 3)),
+                     ("hubHeavy", TestGraphs.hubHeavy(sp), Hope.Params(powerIters = 8, seed = 3)),
+                     ("corafull-wide", wide, Hope.Params(beta = 160, powerIters = 2, kMeansIters = 10, seed = 7)))
+    def sorted(a: org.apache.spark.sql.DataFrame) = a.as[(Long, Int)].collect().sortBy(_._1).toSeq
+    for ((name, g, hp) <- inputs) {
+      val k = g.config.k
+      // Every partition count multiplies the same collected edges.
+      val edges = g.edges.select("u", "v", "w").as[(Long, Long, Double)].collect().sorted.toSeq.toDF("u", "v", "w")
+      val runs = Seq(1, 4, 16).map { p =>
+        val a = Operators.partitioned(edges, p).cache()
+        val x = try Hope.embed(a, k, hp) finally a.unpersist()
+        val l = HopePlus.leftSingular(x, k).transform(Block.localize)
+        val lRows = Block.collectMap(l)
+        val rounds = Seq(HopePlus.Fnem, HopePlus.Snem).map { urt =>
+          val got = sorted(HopePlus.round(l, k, urt, maxRounds = 30))
+          assert(got.toMap == localRounding(lRows, k, urt, 30)._1, s"$name, $p partitions: ${urt.name} vs local")
+          got
+        }
+        if (name == "corafull-wide")
+          assert(lRows.values.map(v => Local.argmax(v)).toSet.size < k, "the greedy seeding leaves no cluster empty")
+        (Block.collectMap(x), sorted(KMeansD.run(x, k, maxIters = hp.kMeansIters, seed = hp.seed)), rounds)
+      }
+      // Assignments are compared exactly, cluster ids included.
+      runs.tail.zip(Seq(4, 16)).foreach { case ((x, km, rounds), p) =>
+        val err = x.map { case (id, v) => Local.maxAbsDiff(Array(v), Array(runs.head._1(id))) }.max
+        assert(x.keySet == runs.head._1.keySet && err < 1e-10, s"$name, $p partitions: max |ΔX| = $err")
+        assert(km == runs.head._2, s"$name, $p partitions: k-means")
+        assert(rounds == runs.head._3, s"$name, $p partitions: FNEM, SNEM")
+      }
+    }
   }
 
   test("KMeansD.run and both rounding variants leave only what they return persisted") {

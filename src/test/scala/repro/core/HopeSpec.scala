@@ -101,6 +101,30 @@ class HopeSpec extends SparkSpec {
     assert(err < 1e-8, s"max |XXᵀ - exact| = $err")
   }
 
+  test("embed's Spark jobs are labelled with the step that submitted them") {
+    val g = TestGraphs.easy(sp)
+    val sc = sp.sparkContext
+    val labels = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new org.apache.spark.scheduler.SparkListener {
+      override def onJobStart(e: org.apache.spark.scheduler.SparkListenerJobStart): Unit =
+        labels.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).getOrElse("-"))
+    }
+    sc.addSparkListener(listener)
+    try {
+      Hope.embed(g.edges, g.config.k, Hope.Params(powerIters = 2, seed = 3))
+      // The listener bus delivers events in order: once the marker job is
+      // seen, so is every job before it.
+      Block.labelJobs(sc, "marker")(sc.parallelize(Seq(1)).count())
+      val deadline = System.nanoTime() + 30L * 1000000000L
+      while (!labels.contains("marker") && System.nanoTime() < deadline) Thread.sleep(20)
+    } finally sc.removeSparkListener(listener)
+    import scala.jdk.CollectionConverters._
+    // `operator/build` is the shuffle stage of the generated edges' own plan,
+    // which the operator's build runs.
+    assert(labels.asScala.toSeq.takeWhile(_ != "marker") ==
+      Seq("operator/check", "operator/build", "subspace/step 1", "subspace/step 2", "subspace/ritz", "embed/x"))
+  }
+
   test("is deterministic for a fixed seed") {
     val g = TestGraphs.easy(sp)
     val a = Hope.run(g.edges, g.config.k, fastParams)

@@ -16,8 +16,8 @@ class SparseOpSpec extends SparkSpec {
   /** Random edges over the even rows 0 until 60, with duplicate (row, col)
     * pairs, and a dense block over the rows divisible by 3: odd ones are
     * absent from the matrix, and even rows not divisible by 3 are absent from
-    * the block. Under an even partition count (the test session's is 64) the
-    * odd partitions of the row-grouped copy are empty.
+    * the block. Under an even partition count the odd partitions of the
+    * row-grouped copy are empty.
     */
   private def input(seed: Int) = {
     val rnd = new Random(seed)
@@ -27,9 +27,11 @@ class SparseOpSpec extends SparkSpec {
     (es, dense)
   }
 
-  private def mkOp(es: Seq[(Long, Long, Double)]): SparseOp = {
+  /** The operator of `es`, under one partition per core unless given. */
+  private def mkOp(es: Seq[(Long, Long, Double)], numPartitions: Int = 0): SparseOp = {
     import sp.implicits._
-    SparseOp(es.toDF("r", "c", "w"), "r", "c", "w")
+    val df = es.toDF("r", "c", "w")
+    if (numPartitions > 0) SparseOp(df, "r", "c", "w", numPartitions) else SparseOp(df, "r", "c", "w")
   }
 
   private def mkDense(rows: Map[Long, Array[Double]]) = {
@@ -81,7 +83,7 @@ class SparseOpSpec extends SparkSpec {
 
   test("mul matches a local dense multiply (duplicates, missing rows, empty partitions)") {
     val (es, dense) = input(3)
-    val op = mkOp(es)
+    val op = mkOp(es, numPartitions = 64)
     val y = op.coPartition(mkDense(dense))
     // The inputs this test is about.
     assert(es.map(e => (e._1, e._2)).distinct.size < es.size)
@@ -134,7 +136,7 @@ class SparseOpSpec extends SparkSpec {
     val op = mkOp(es)
     val y = op.coPartition(mkDense(dense))
     val out = op.mul(y)
-    assert(op.partitioner.numPartitions == sp.conf.get("spark.sql.shuffle.partitions").toInt)
+    assert(op.partitioner.numPartitions == sp.sparkContext.defaultParallelism)
     assert(out.partitioner.contains(op.partitioner))
     out.glom().collect().foreach { part =>
       val ids = part.map(_._1)
@@ -161,42 +163,37 @@ class SparseOpSpec extends SparkSpec {
     op.unpersist()
   }
 
-  test("gram and pairGram of blocks match local sums") {
+  test("gram of a block matches local sums") {
     val rnd = new Random(13)
     val (es, _) = input(13)
     val op = mkOp(es)
     val x = (0L until 25L).map(i => i -> Array.fill(3)(rnd.nextGaussian())).toMap
-    val y = (10L until 40L).map(i => i -> Array.fill(4)(rnd.nextGaussian())).toMap
     val g = SparseOp.gram(op.coPartition(mkDense(x)))
-    val pg = SparseOp.pairGram(op.coPartition(mkDense(x)), op.coPartition(mkDense(y)))
-    val wantG = Local.zeros(3, 3); val wantPg = Local.zeros(3, 4)
+    val wantG = Local.zeros(3, 3)
     x.values.foreach(v => for (i <- 0 until 3; j <- 0 until 3) wantG(i)(j) += v(i) * v(j))
-    for (id <- 10L until 25L; i <- 0 until 3; j <- 0 until 4) wantPg(i)(j) += x(id)(i) * y(id)(j)
     assert(Local.maxAbsDiff(g, wantG) < 1e-10)
-    assert(Local.maxAbsDiff(pg, wantPg) < 1e-10)
   }
 
-  test("pairGram equals XᵀY with join semantics") {
-    val rnd = new Random(7)
-    val x = (0L until 20L).map(i => i -> Array.fill(3)(rnd.nextGaussian())).toMap
-    val y = (5L until 25L).map(i => i -> Array.fill(4)(rnd.nextGaussian())).toMap
-    val op = mkOp(input(7)._1)
-    val g = SparseOp.pairGram(op.coPartition(mkDense(x)), op.coPartition(mkDense(y)))
-    val expected = Local.zeros(3, 4)
-    for (id <- 5L until 20L) {
-      val xv = x(id); val yv = y(id)
-      for (i <- 0 until 3; j <- 0 until 4) expected(i)(j) += xv(i) * yv(j)
-    }
-    assert(Local.maxAbsDiff(g, expected) < 1e-10)
-  }
-
-  test("gram and pairGram reject an empty block") {
+  test("gram rejects an empty block") {
     val op = mkOp(input(17)._1)
-    val x = op.coPartition(mkDense((0L until 5L).map(i => i -> Array(1.0, 2.0)).toMap))
     val empty = op.coPartition(mkDense(Map.empty))
-    Seq(intercept[IllegalArgumentException](SparseOp.gram(empty)),
-        intercept[IllegalArgumentException](SparseOp.pairGram(x, empty)),
-        intercept[IllegalArgumentException](SparseOp.pairGram(empty, x)))
-      .foreach(e => assert(e.getMessage.contains("empty")))
+    assert(intercept[IllegalArgumentException](SparseOp.gram(empty)).getMessage.contains("empty"))
+  }
+
+  test("degreeScale scales each row by a power of the matrix's raw row sum, on every view") {
+    val (es, _) = input(19)
+    val pos = positive(es); val op = mkOp(pos)
+    val dr = pos.groupMapReduce(_._1)(_._3)(_ + _)
+    val dc = pos.groupMapReduce(_._2)(_._3)(_ + _)
+    val rnd = new Random(20)
+    def block(ids: Iterable[Long]) = ids.map(i => i -> Array.fill(Width)(rnd.nextGaussian())).toMap
+    for (v <- Views; pow <- Seq(0.5, -1.0)) {
+      val m = view(op, v)
+      val (ids, d) = if (v._3) (dc.keys, dc) else (dr.keys, dr)
+      val y = block(ids)
+      val want = y.map { case (id, r) => id -> r.map(_ * math.pow(d(id), pow)) }
+      assertClose(collect(m.degreeScale(op.coPartition(mkDense(y)), pow)), want)
+    }
+    intercept[IllegalArgumentException](op.degreeScale(op.coPartition(mkDense(block(dr.keys))).map(identity), 0.5))
   }
 }

@@ -97,5 +97,53 @@ class SubspaceIterationSpec extends SparkSpec {
     val added = sc.getPersistentRDDs.filter { case (id, _) => !before.contains(id) }.values
     assert(added.size <= 1, s"still persisted: ${added.mkString(", ")}")
     assert(added.forall(_.isCheckpointed))
+    added.foreach(_.unpersist())
+    // Request after request in one session: once each embedding is dropped,
+    // the session holds what it held before.
+    val g = repro.TestGraphs.easy(sp)
+    g.edges.count()
+    val held = sc.getPersistentRDDs.keySet
+    for (_ <- 1 to 3) {
+      val x = repro.core.Hope.embed(g.edges, g.config.k, repro.core.Hope.Params(powerIters = 2, seed = 3))
+      assert(x.count() == g.config.nU)
+      def lineage(r: org.apache.spark.rdd.RDD[_]): Seq[org.apache.spark.rdd.RDD[_]] =
+        r +: r.dependencies.flatMap(d => lineage(d.rdd))
+      lineage(x.rdd).filter(r => sc.getPersistentRDDs.contains(r.id)).foreach(_.unpersist())
+    }
+    assert(sc.getPersistentRDDs.keySet == held,
+      s"still persisted: ${sc.getPersistentRDDs.filter { case (id, _) => !held.contains(id) }.values.mkString(", ")}")
+  }
+
+  test("the Ritz product is Mᵀ U, and Mᵀ extra(V) rotated like V") {
+    import sp.implicits._
+    val rnd = new scala.util.Random(41)
+    val es = for (i <- 0 until 20; j <- 0 until 14 if rnd.nextDouble() < 0.4)
+      yield (i.toLong, j.toLong, 0.5 + rnd.nextDouble())
+    val m = SparseOp(es.toDF("r", "c", "w"), "r", "c", "w").cache()
+    val d = es.groupMapReduce(_._1)(_._3)(_ + _)
+    val beta = 3
+    def mt(u: Map[Long, Array[Double]], scale: Long => Double) =
+      es.groupBy(_._2).map { case (c, g) =>
+        c -> Array.tabulate(beta)(j => g.map { case (r, _, w) => w * scale(r) * u(r)(j) }.sum)
+      }
+    for (extra <- Seq(None, Some(m.degreeScale(_: SparseOp.Rows, 1.0)))) {
+      val (u, p, sigma) = SubspaceIteration.topLeftSingular(m, beta, 20, 5, extra) { (u, p, s) =>
+        (u.collect().toMap, p.collect().toMap, s)
+      }
+      val want = mt(u, _ => 1.0)
+      val wantExtra = mt(u, d)
+      assert(p.keySet == want.keySet)
+      p.foreach { case (c, r) =>
+        assert(r.length == beta * (1 + extra.size))
+        for (j <- 0 until beta) {
+          assert(math.abs(r(j) - want(c)(j)) < 1e-10, s"column $c, $j")
+          if (extra.nonEmpty) assert(math.abs(r(beta + j) - wantExtra(c)(j)) < 1e-10, s"extra: column $c, $j")
+        }
+      }
+      // ‖Mᵀu_j‖ = σ_j.
+      for (j <- 0 until beta)
+        assert(math.abs(math.sqrt(want.values.map(r => r(j) * r(j)).sum) - sigma(j)) < 1e-8)
+    }
+    m.unpersist()
   }
 }
