@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.KMeansD
-import repro.linalg.Local
+import repro.linalg.{Block, Local}
 import scala.collection.mutable.ArrayBuffer
 
 /** Data-clustering baselines applied to the biadjacency rows of U:
@@ -20,7 +20,7 @@ object DataClustering {
 
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
       val rows = Projections.uRows(edges, SketchDim, seed)
-      KMeansD.run(rows, k, seed = seed)
+      try KMeansD.run(rows, k, seed = seed) finally Block.release(rows)
     }
   }
 
@@ -34,7 +34,7 @@ object DataClustering {
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
       val spark2 = spark
       import spark2.implicits._
-      val rows = Projections.uRows(edges, SketchDim, seed).cache()
+      val rows = Projections.uRows(edges, SketchDim, seed)
       val n = rows.count()
       val sampleSize = math.min(n, math.max(2000L, 20L * k)).toInt
       val frac = math.min(1.0, sampleSize * 2.0 / n)
@@ -59,16 +59,15 @@ object DataClustering {
         }
         pass += 1
       }
-      val bc = spark.sparkContext.broadcast(medoids)
+      // The medoids (k × SketchDim) travel in the task closure.
       val out = rows.map { r =>
-        val ms = bc.value
-        var best = 0; var bd = Local.sqDist(r.vec, ms(0)); var c = 1
-        while (c < ms.length) {
-          val d = Local.sqDist(r.vec, ms(c)); if (d < bd) { bd = d; best = c }; c += 1
+        var best = 0; var bd = Local.sqDist(r.vec, medoids(0)); var c = 1
+        while (c < medoids.length) {
+          val d = Local.sqDist(r.vec, medoids(c)); if (d < bd) { bd = d; best = c }; c += 1
         }
         (r.id, best)
-      }.toDF("id", "cluster").transform(repro.linalg.Block.localize)
-      rows.unpersist()
+      }.toDF("id", "cluster").transform(Block.localize)
+      Block.release(rows)
       out
     }
   }
@@ -84,7 +83,7 @@ object DataClustering {
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
       val spark2 = spark
       import spark2.implicits._
-      val rows = Projections.uRows(edges, SketchDim, seed).cache()
+      val rows = Projections.uRows(edges, SketchDim, seed)
       val collected = rows.collect() // feasibility cap keeps this small
       val threshold = 0.35 // radius in L2-normalised sketch space
 
@@ -144,7 +143,7 @@ object DataClustering {
         it += 1
       }
       val out = collected.indices.map(i => (collected(i).id, cfCluster(cfOf(i))))
-      rows.unpersist()
+      Block.release(rows)
       out.toDF("id", "cluster")
     }
   }

@@ -16,12 +16,13 @@ object Projections {
 
   /** Project U-side rows of the (optionally row-normalised) biadjacency: one
     * product with the graph's operator, whose column copy also supplies R's
-    * row ids.
+    * row ids. The rows are materialised (a [[Block.localize]]d Dataset)
+    * before the operator is released; the caller [[Block.release]]s them.
     */
   def uRows(edges: DataFrame, dim: Int, seed: Long,
-            rowNormalize: Boolean = true): Dataset[BRow] = {
-    val a = BipartiteGraph.operator(edges)
-    val proj = SparseOp.toDataset(a.mulT(a.t.block(Local.rademacherVec(seed, _, dim))))
-    if (rowNormalize) Block.normalizeRows(proj) else proj
-  }
+            rowNormalize: Boolean = true): Dataset[BRow] =
+    BipartiteGraph.withOperator(edges) { a =>
+      val proj = SparseOp.toDataset(a.mulT(a.t.block(Local.rademacherVec(seed, _, dim))))
+      Block.localize(if (rowNormalize) Block.normalizeRows(proj) else proj)
+    }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.linalg.{Block, SparseOp}
+import repro.linalg.SparseOp
 
 /** The paper's matrices over a weighted bipartite edge list.
   *
@@ -21,31 +21,30 @@ import repro.linalg.{Block, SparseOp}
   */
 object BipartiteGraph {
 
-  /** The operator of A (rows u, columns v, entries w), uncached. The input
-    * check runs as Spark jobs labelled `operator/check`.
+  /** The operator of A (rows u, columns v, entries w), built and cached by
+    * one Spark job (`operator/build`) that also finds the first bad edge;
+    * the caller unpersists it.
     *
-    * @throws IllegalArgumentException naming the first bad edge in (u, v)
-    *         order if a weight is NaN, infinite or ≤ 0, or an id is < 0 —
-    *         the degree scalings would turn it into NaN or ∞ everywhere
+    * @throws IllegalArgumentException naming the first bad edge if an id or
+    *         weight is null, a weight is NaN, infinite or ≤ 0, or an id is
+    *         < 0 — the degree scalings would turn it into NaN or ∞
+    *         everywhere. Edges with a null come first, then (u, v, w) order.
     */
   def operator(edges: DataFrame): SparseOp = {
-    val ok = col("u") >= 0 && col("v") >= 0 && col("w") > 0 && !isnan(col("w")) &&
-      col("w") < Double.PositiveInfinity
-    val firstBad = Block.labelJobs(edges.sparkSession.sparkContext, "operator/check") {
-      edges.where(!coalesce(ok, lit(false))).orderBy("u", "v").select("u", "v", "w").head(1)
-    }
-    firstBad.foreach { e =>
+    val a = SparseOp(edges, "u", "v", "w")
+    a.firstInvalid.foreach { e =>
+      a.unpersist()
       throw new IllegalArgumentException(
-        s"bad edge (u=${e.get(0)}, v=${e.get(1)}, w=${e.get(2)}): ids must be ≥ 0 and weights finite and > 0")
+        s"bad edge ${e.show("u", "v", "w")}: ids must be ≥ 0 and weights finite and > 0")
     }
-    SparseOp(edges, "u", "v", "w")
+    a
   }
 
-  /** `f` applied to the graph's [[operator]], cached for the duration of
-    * the call; `f` materialises whatever it returns that reads the operator.
+  /** `f` applied to the graph's [[operator]], held for the duration of the
+    * call; `f` materialises whatever it returns that reads the operator.
     */
   def withOperator[T](edges: DataFrame)(f: SparseOp => T): T = {
-    val a = operator(edges).cache()
+    val a = operator(edges)
     try f(a) finally a.unpersist()
   }
 

@@ -31,12 +31,17 @@ object Hope {
 
   /** The low-rank HOP approximation X (Lines 1–4 of Algorithm 1), shared by
     * HOPE and HOPE+. Rows are keyed by U-side vertex id and L2-normalised.
+    *
+    * @throws IllegalArgumentException if an edge is bad (see
+    *         [[BipartiteGraph.operator]]), if k > |U|, or if β exceeds
+    *         min(|U|, |V|) (see [[SubspaceIteration.topLeftSingular]])
     */
   def embed(edges: DataFrame, k: Int, params: Params): Dataset[BRow] =
     BipartiteGraph.withOperator(edges)(embed(_, k, params))
 
-  /** [[embed]] on the cached operator `a` of the graph's biadjacency. */
+  /** [[embed]] on the operator `a` of the graph's biadjacency. */
   private[core] def embed(a: SparseOp, k: Int, params: Params): Dataset[BRow] = {
+    require(k <= a.numRows, s"k = $k clusters exceed |U| = ${a.numRows} vertices")
     val q = a.scaled(-0.5, -0.5).t
     val beta = params.betaFor(k)
     SubspaceIteration.topLeftSingular(q, beta, params.powerIters, params.seed,

@@ -1,6 +1,7 @@
 package repro.linalg
 
 import org.apache.spark.SparkContext
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
@@ -23,31 +24,61 @@ object Block {
     * are keyed by the values in `srcCol`. Ids absent from `edges` simply do
     * not appear in the output (callers guarantee min-degree ≥ 1 inputs).
     * A one-off product: it builds a [[SparseOp]], co-partitions `dense` with
-    * it and multiplies once; iterative callers keep the operator instead.
+    * it, multiplies once and materialises the product (a [[localize]]d
+    * Dataset) before it releases the operator; iterative callers keep the
+    * operator instead.
     */
   def spmm(edges: DataFrame, dense: Dataset[BRow],
            srcCol: String, dstCol: String, wCol: String = "w"): Dataset[BRow] = {
     val op = SparseOp(edges, srcCol, dstCol, wCol)
-    SparseOp.toDataset(op.mul(op.coPartition(dense)))
+    try localize(SparseOp.toDataset(op.mul(op.coPartition(dense)))) finally op.unpersist()
   }
 
   /** Reshape a flat row-major accumulator into a Mat. */
   private[linalg] def unflatten(flat: Array[Double], cols: Int): Local.Mat =
     flat.grouped(cols).toArray
 
-  /** Add the outer product `xᵀ y` into a flat row-major `|x| × |y|` accumulator. */
-  private[linalg] def outerInto(acc: Array[Double], x: Array[Double], y: Array[Double]): Unit = {
-    val cols = y.length
-    var i = 0
-    while (i < x.length) {
-      val xi = x(i)
-      if (xi != 0.0) {
-        val base = i * cols
-        var j = 0
-        while (j < cols) { acc(base + j) += xi * y(j); j += 1 }
+  /** One partial Gram `Σ x xᵀ` over `rows`, or none if there are no rows:
+    * a flat row-major accumulator of which only the upper triangle (i ≤ j)
+    * is filled, each entry adding its products in row order; [[symGram]]
+    * completes it.
+    */
+  private[linalg] def upperGram(rows: Iterator[Array[Double]]): Iterator[Array[Double]] = {
+    var acc: Array[Double] = null
+    rows.foreach { x =>
+      val n = x.length
+      if (acc == null) acc = new Array[Double](n * n)
+      var i = 0
+      while (i < n) {
+        val xi = x(i)
+        if (xi != 0.0) {
+          val base = i * n
+          var j = i
+          while (j < n) { acc(base + j) += xi * x(j); j += 1 }
+        }
+        i += 1
       }
+    }
+    Option(acc).iterator
+  }
+
+  /** `XᵀX` from the per-partition [[upperGram]] partials: their sum in
+    * partition order with the upper triangle mirrored into the lower. A
+    * product `x_i x_j` equals `x_j x_i`, and a skipped zero term leaves a
+    * sum that started at +0.0 unchanged, so for finite entries this is
+    * bit-identical to accumulating every entry of `x xᵀ`.
+    */
+  private[linalg] def symGram(parts: Array[Array[Double]]): Local.Mat = {
+    require(parts.nonEmpty, "gram: the block is empty")
+    val n = math.sqrt(parts.head.length.toDouble).round.toInt
+    val flat = sumInOrder(parts)
+    var i = 0
+    while (i < n) {
+      var j = i + 1
+      while (j < n) { flat(j * n + i) = flat(i * n + j); j += 1 }
       i += 1
     }
+    unflatten(flat, n)
   }
 
   /** Sum per-partition partial results in partition order. `RDD.reduce` and
@@ -62,36 +93,27 @@ object Block {
   def gram(x: Dataset[BRow]): Local.Mat = {
     val spark = x.sparkSession
     import spark.implicits._
-    val parts = x.mapPartitions { it =>
-      var acc: Array[Double] = null
-      it.foreach { r =>
-        if (acc == null) acc = new Array[Double](r.vec.length * r.vec.length)
-        outerInto(acc, r.vec, r.vec)
-      }
-      Option(acc).iterator
-    }.collect()
-    require(parts.nonEmpty, "gram: the block is empty")
-    unflatten(sumInOrder(parts), math.sqrt(parts.head.length.toDouble).round.toInt)
+    symGram(x.mapPartitions(it => upperGram(it.map(_.vec))).collect())
   }
 
-  /** Right-multiply every row by a local matrix: `out_i = x_i · M`. */
+  /** Right-multiply every row by a local matrix: `out_i = x_i · M`. `M`
+    * (at most a few hundred KB) travels in the task closure, so nothing
+    * outlives the call.
+    */
   def timesLocal(x: Dataset[BRow], m: Local.Mat): Dataset[BRow] = {
     val spark = x.sparkSession
     import spark.implicits._
-    val bc = spark.sparkContext.broadcast(m)
-    x.map(r => BRow(r.id, Local.vecMat(r.vec, bc.value)))
+    x.map(r => BRow(r.id, Local.vecMat(r.vec, m)))
   }
 
-  /** Scale column j of every row by `d(j)`. */
+  /** Scale column j of every row by `d(j)`; `d` travels in the task closure. */
   def scaleCols(x: Dataset[BRow], d: Array[Double]): Dataset[BRow] = {
     val spark = x.sparkSession
     import spark.implicits._
-    val bc = spark.sparkContext.broadcast(d)
     x.map { r =>
-      val f = bc.value
       val out = new Array[Double](r.vec.length)
       var i = 0
-      while (i < out.length) { out(i) = r.vec(i) * f(i); i += 1 }
+      while (i < out.length) { out(i) = r.vec(i) * d(i); i += 1 }
       BRow(r.id, out)
     }
   }
@@ -189,5 +211,13 @@ object Block {
     val rdd = ds.rdd.localCheckpoint()
     rdd.count() // materialise eagerly so lineage is actually truncated
     spark.createDataset(rdd)(ds.encoder)
+  }
+
+  /** Unpersist every persisted RDD in the lineage of `ds`: for a Dataset
+    * that [[localize]] returned, its checkpoint.
+    */
+  def release(ds: Dataset[_]): Unit = {
+    def lineage(r: RDD[_]): Seq[RDD[_]] = r +: r.dependencies.flatMap(d => lineage(d.rdd))
+    lineage(ds.rdd).filter(_.getStorageLevel.isValid).foreach(_.unpersist())
   }
 }

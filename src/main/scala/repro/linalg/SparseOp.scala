@@ -6,7 +6,7 @@ import scala.collection.mutable
 
 import org.apache.spark.{HashPartitioner, Partitioner, TaskContext}
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
 
@@ -44,24 +44,33 @@ import org.apache.spark.storage.StorageLevel
   * class ([[SparseOp.Partial]], [[BRow]], a tuple), which keeps those shuffles
   * on the configured serializer.
   *
-  * `cache()` persists both copies (lazily: a copy is built by the first
-  * product that reads it); the owner calls `unpersist()` when done. Views
-  * share their copies with the operator they came from.
+  * The operator is built and cached by one Spark job (`operator/build`,
+  * [[SparseOp.apply]]) and holds its copies until the owner calls
+  * `unpersist()`. Views share their copies with the operator they came from.
+  *
+  * @param numRows the number of distinct row ids, counted by the build
+  * @param numCols the number of distinct column ids, counted by the build
+  * @param firstInvalid the input's first entry, in (row, col, w) order, that
+  *        a graph may not hold (see [[SparseOp.Entry.valid]]), if any
   */
 final class SparseOp private (private[linalg] val rows: RDD[SparseOp.Csr],
                               private[linalg] val cols: RDD[SparseOp.Csr],
-                              val partitioner: Partitioner,
+                              val numRows: Long, val numCols: Long,
+                              val firstInvalid: Option[SparseOp.Entry],
+                              stored: RDD[_],
                               rowPow: Double, colPow: Double) {
   import SparseOp._
+
+  val partitioner: Partitioner = rows.partitioner.get
 
   /** The view `D_r^a · M · D_c^b` of this matrix M, where `D_r` and `D_c`
     * are the diagonal matrices of the raw edge weights' row and column sums.
     */
   def scaled(a: Double, b: Double): SparseOp =
-    new SparseOp(rows, cols, partitioner, rowPow + a, colPow + b)
+    new SparseOp(rows, cols, numRows, numCols, firstInvalid, stored, rowPow + a, colPow + b)
 
   /** The transposed view `Mᵀ`. */
-  def t: SparseOp = new SparseOp(cols, rows, partitioner, colPow, rowPow)
+  def t: SparseOp = new SparseOp(cols, rows, numCols, numRows, firstInvalid, stored, colPow, rowPow)
 
   /** `out = Mᵀ y`, i.e. `out[c] = Σ_r m(r,c) · y[r]`, for a block `y` keyed
     * by row id.
@@ -115,12 +124,8 @@ final class SparseOp private (private[linalg] val rows: RDD[SparseOp.Csr],
       .mapPartitions(it => it.map { case (id, r) => (id, r.vec) }.toArray.sortBy(_._1).iterator,
                      preservesPartitioning = true)
 
-  def cache(): this.type = {
-    rows.persist(Level); cols.persist(Level)
-    this
-  }
-
-  def unpersist(): Unit = { rows.unpersist(); cols.unpersist() }
+  /** Release the cached copies, for this operator and all its views. */
+  def unpersist(): Unit = stored.unpersist()
 }
 
 object SparseOp {
@@ -133,9 +138,21 @@ object SparseOp {
   /** Storage level of the cached copies and of persisted blocks. */
   val Level = StorageLevel.MEMORY_AND_DISK
 
-  /** Build the operator of the matrix with entries `w(row, col)`; duplicate
-    * `(row, col)` pairs add up. Entries are taken as given: a scaled view
-    * of a matrix with a zero or negative row or column sum is not defined.
+  /** Build and cache the operator of the matrix with entries `w(row, col)`;
+    * duplicate `(row, col)` pairs add up. Entries are taken as given: a
+    * scaled view of a matrix with a zero or negative row or column sum is
+    * not defined.
+    *
+    * One Spark job (`operator/build`; under AQE the shuffle stages of the
+    * edges' own plan run first, under the same label). Each edge partition
+    * is read once and sends every operator partition one [[Chunk]] with the
+    * entries of both copies that fall there, so one shuffle feeds both
+    * copies. Each operator partition builds its two CSRs ([[Csr.apply]]) and
+    * is cached, and the job returns its row and column counts and its first
+    * invalid entry.
+    *
+    * @throws IllegalArgumentException naming an input row with a null id or
+    *         weight, if there is one
     */
   def apply(edges: DataFrame, rowCol: String, colCol: String, wCol: String = "w"): SparseOp =
     apply(edges, rowCol, colCol, wCol, edges.sparkSession.sparkContext.defaultParallelism)
@@ -144,15 +161,95 @@ object SparseOp {
   private[linalg] def apply(edges: DataFrame, rowCol: String, colCol: String, wCol: String,
                             numPartitions: Int): SparseOp = {
     val p = new HashPartitioner(numPartitions)
-    // Under AQE, `.rdd` runs the shuffle stages of the edges' own plan.
-    val e = Block.labelJobs(edges.sparkSession.sparkContext, "operator/build") {
-      edges.select(col(rowCol).cast("long"), col(colCol).cast("long"), col(wCol).cast("double")).rdd
-    }.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
-    def grouped(byRow: Boolean): RDD[Csr] =
-      e.map { case (r, c, w) => if (byRow) (r, (c, w)) else (c, (r, w)) }
-        .partitionBy(p)
-        .mapPartitions(it => Iterator.single(Csr(it)), preservesPartitioning = true)
-    new SparseOp(grouped(byRow = true), grouped(byRow = false), p, 0.0, 0.0)
+    Block.labelJobs(edges.sparkSession.sparkContext, "operator/build") {
+      val e = edges.select(col(rowCol).cast("long"), col(colCol).cast("long"), col(wCol).cast("double")).rdd
+      val stored = e.mapPartitions(split(_, p)).partitionBy(p)
+        .mapPartitions(cs => Iterator.single(Part(cs.map(_._2).toArray)), preservesPartitioning = true)
+        .persist(Level)
+      try {
+        val counts = stored.map(s => (s.rows.rowIds.length.toLong, s.cols.rowIds.length.toLong, s.firstInvalid))
+          .collect()
+        val firstInvalid = counts.flatMap(_._3).minOption
+        firstInvalid.filter(_.hasNull).foreach { e =>
+          throw new IllegalArgumentException(
+            s"bad edge ${e.show(rowCol, colCol, wCol)}: ids and weights must not be null")
+        }
+        new SparseOp(stored.mapPartitions(s => Iterator.single(s.next().rows), preservesPartitioning = true),
+                     stored.mapPartitions(s => Iterator.single(s.next().cols), preservesPartitioning = true),
+                     counts.map(_._1).sum, counts.map(_._2).sum, firstInvalid, stored, 0.0, 0.0)
+      } catch { case t: Throwable => stored.unpersist(); throw t }
+    }
+  }
+
+  /** An input row `(row, col, w)`, `None` where it holds a null. */
+  final case class Entry(row: Option[Long], col: Option[Long], w: Option[Double]) {
+    def hasNull: Boolean = row.isEmpty || col.isEmpty || w.isEmpty
+
+    /** `(rowCol=row, colCol=col, wCol=w)`, with `null` for a null. */
+    def show(rowCol: String, colCol: String, wCol: String): String = {
+      def s(x: Option[Any]) = x.fold("null")(_.toString)
+      s"($rowCol=${s(row)}, $colCol=${s(col)}, $wCol=${s(w)})"
+    }
+  }
+
+  object Entry {
+    /** Entries with a null first, then `(row, col, w)` order, nulls first,
+      * weights in `Double` total order.
+      */
+    implicit val order: Ordering[Entry] = Ordering.by((e: Entry) => (!e.hasNull, e.row, e.col, e.w))(
+      Ordering.Tuple4(Ordering.Boolean, Ordering.Option(Ordering.Long), Ordering.Option(Ordering.Long),
+                      Ordering.Option(Ordering.Double.TotalOrdering)))
+
+    /** Whether a graph may hold the entry: ids ≥ 0, the weight finite and
+      * > 0 (the degree scalings turn any other weight into NaN or ∞).
+      */
+    def valid(row: Long, col: Long, w: Double): Boolean =
+      row >= 0 && col >= 0 && w > 0 && w < Double.PositiveInfinity
+  }
+
+  /** Entries `(key, other, w)` of one copy, as parallel arrays. */
+  private[linalg] final class Triples(val key: Array[Long], val other: Array[Long], val w: Array[Double])
+      extends Serializable
+
+  /** What one edge partition sends one operator partition: the entries of
+    * the row copy and of the column copy that fall there, and (to partition
+    * 0 only) the edge partition's first invalid entry.
+    */
+  private final class Chunk(val byRow: Triples, val byCol: Triples, val firstInvalid: Option[Entry])
+      extends Serializable
+
+  /** One cached operator partition: its two CSRs and the first invalid entry
+    * among the chunks it received.
+    */
+  private final class Part(val rows: Csr, val cols: Csr, val firstInvalid: Option[Entry]) extends Serializable
+
+  private object Part {
+    def apply(chunks: Array[Chunk]): Part =
+      new Part(Csr(chunks.map(_.byRow)), Csr(chunks.map(_.byCol)), chunks.flatMap(_.firstInvalid).minOption)
+  }
+
+  /** One chunk per operator partition from the edge rows `(row, col, w)`. */
+  private def split(edges: Iterator[Row], p: Partitioner): Iterator[(Int, Chunk)] = {
+    final class Buf {
+      val key, other = new mutable.ArrayBuilder.ofLong
+      val w = new mutable.ArrayBuilder.ofDouble
+      def result = new Triples(key.result(), other.result(), w.result())
+    }
+    val byRow, byCol = Array.fill(p.numPartitions)(new Buf)
+    var bad = Option.empty[Entry]
+    def invalid(e: Entry): Unit = if (bad.forall(Entry.order.lt(e, _))) bad = Some(e)
+    edges.foreach { x =>
+      if (x.isNullAt(0) || x.isNullAt(1) || x.isNullAt(2))
+        invalid(Entry(Option(x.get(0)).map(_.asInstanceOf[Long]), Option(x.get(1)).map(_.asInstanceOf[Long]),
+                      Option(x.get(2)).map(_.asInstanceOf[Double])))
+      else {
+        val r = x.getLong(0); val c = x.getLong(1); val w = x.getDouble(2)
+        if (!Entry.valid(r, c, w)) invalid(Entry(Some(r), Some(c), Some(w)))
+        val br = byRow(p.getPartition(r)); br.key += r; br.other += c; br.w += w
+        val bc = byCol(p.getPartition(c)); bc.key += c; bc.other += r; bc.w += w
+      }
+    }
+    Iterator.tabulate(p.numPartitions)(i => (i, new Chunk(byRow(i).result, byCol(i).result, if (i == 0) bad else None)))
   }
 
   /** One output row's partial sum from map partition `src`. */
@@ -214,22 +311,57 @@ object SparseOp {
   }
 
   private[linalg] object Csr {
-    private val EntryOrder = Ordering.Tuple3(Ordering.Long, Ordering.Long, Ordering.Double.TotalOrdering)
 
-    def apply(entries: Iterator[(Long, (Long, Double))]): Csr = {
-      val es = entries.map { case (r, (c, w)) => (r, c, w) }.toArray
-      es.sortInPlace()(EntryOrder)
-      val colIds = es.map(_._2).distinct.sorted
-      val rowIds = mutable.ArrayBuilder.make[Long]
-      val rowPtr = mutable.ArrayBuilder.make[Int]
+    /** The CSR of the entries of all `parts`, rows keyed by `key`, in
+      * `(row, col, w)` order whatever order the parts come in: a counting
+      * sort by row, a primitive sort of `(column index << 32 | entry)` keys
+      * within each row, and duplicate `(row, col)` pairs by weight in
+      * `Double` total order.
+      */
+    def apply(parts: Array[Triples]): Csr = {
+      val r = Array.concat(parts.map(_.key): _*)
+      val c = Array.concat(parts.map(_.other): _*)
+      val w = Array.concat(parts.map(_.w): _*)
+      val rowIds = distinctSorted(r); val colIds = distinctSorted(c)
+      val rowOf = r.map(Arrays.binarySearch(rowIds, _))
+      val rowPtr = new Array[Int](rowIds.length + 1)
+      rowOf.foreach(i => rowPtr(i + 1) += 1)
+      var i = 0
+      while (i < rowIds.length) { rowPtr(i + 1) += rowPtr(i); i += 1 }
+      val next = Arrays.copyOf(rowPtr, rowIds.length)
+      val keys = new Array[Long](r.length)
       var e = 0
-      while (e < es.length) {
-        if (e == 0 || es(e)._1 != es(e - 1)._1) { rowIds += es(e)._1; rowPtr += e }
+      while (e < r.length) {
+        val i = rowOf(e)
+        keys(next(i)) = (Arrays.binarySearch(colIds, c(e)).toLong << 32) | e
+        next(i) += 1
         e += 1
       }
-      rowPtr += es.length
-      new Csr(rowIds.result(), rowPtr.result(), colIds,
-              es.map(x => Arrays.binarySearch(colIds, x._2)), es.map(_._3))
+      val colIdx = new Array[Int](r.length); val ws = new Array[Double](r.length)
+      i = 0
+      while (i < rowIds.length) {
+        val end = rowPtr(i + 1)
+        Arrays.sort(keys, rowPtr(i), end)
+        e = rowPtr(i)
+        while (e < end) { colIdx(e) = (keys(e) >>> 32).toInt; ws(e) = w(keys(e).toInt); e += 1 }
+        var s = rowPtr(i)
+        while (s < end) {
+          var t = s + 1
+          while (t < end && colIdx(t) == colIdx(s)) t += 1
+          if (t - s > 1) Arrays.sort(ws, s, t)
+          s = t
+        }
+        i += 1
+      }
+      new Csr(rowIds, rowPtr, colIds, colIdx, ws)
+    }
+
+    private def distinctSorted(a: Array[Long]): Array[Long] = {
+      val s = a.clone()
+      Arrays.sort(s)
+      var n = 0
+      s.foreach { x => if (n == 0 || x != s(n - 1)) { s(n) = x; n += 1 } }
+      Arrays.copyOf(s, n)
     }
   }
 
@@ -254,18 +386,7 @@ object SparseOp {
   }
 
   /** Gram matrix `XᵀX` of a block, collected to the driver. */
-  def gram(x: Rows): Local.Mat = {
-    val parts = x.mapPartitions { it =>
-      var acc: Array[Double] = null
-      it.foreach { case (_, v) =>
-        if (acc == null) acc = new Array[Double](v.length * v.length)
-        Block.outerInto(acc, v, v)
-      }
-      Option(acc).iterator
-    }.collect()
-    require(parts.nonEmpty, "gram: the block is empty")
-    Block.unflatten(Block.sumInOrder(parts), math.sqrt(parts.head.length.toDouble).round.toInt)
-  }
+  def gram(x: Rows): Local.Mat = Block.symGram(x.mapPartitions(it => Block.upperGram(it.map(_._2))).collect())
 
   /** `f(x_i, y_i)` for every row `x_i` of `x`, with `y_i` the row of equal
     * id in the co-partitioned block `y`, or null.

@@ -24,13 +24,13 @@ import repro.linalg.SparseOp.Rows
 object SubspaceIteration {
 
   /** Guard vectors beyond β — standard randomized-method oversampling so the
-    * trailing requested eigenpairs converge too.
+    * trailing requested eigenpairs converge too. Fewer where the matrix has
+    * fewer than β + 4 rows or columns: see [[topLeftSingular]].
     */
   private val Oversample = 4
 
   /** `f(u, p, σ)` for the top-β left singular vectors `u` and singular values
-    * `σ` (descending) of the matrix `m`, which the caller owns and caches
-    * (every power step reads it twice).
+    * `σ` (descending) of the matrix `m`, which the caller owns.
     *
     * The tail multiplies the converged block V, widened by `extra(V)` if
     * given, once by `Mᵀ`; `p` is that product with each V-wide slice
@@ -41,13 +41,22 @@ object SubspaceIteration {
     * from blocks this call persists and releases when `f` returns, so `f`
     * materialises whatever it returns that reads them.
     *
-    * @param beta       number of singular pairs
+    * The iterated block is β plus 4 guard columns wide, but never wider than
+    * `min(rows, cols)` of M, the largest rank M can have: the guard columns
+    * are clamped to `min(rows, cols) − β`, and with none left the trailing
+    * pairs converge more slowly.
+    *
+    * @param beta       number of singular pairs, at most `min(rows, cols)`
+    *                   of M (an `IllegalArgumentException` otherwise)
     * @param powerIters number of power-iteration steps (each = one product
     *                   with `M Mᵀ` + re-orthonormalisation)
     */
   def topLeftSingular[T](m: SparseOp, beta: Int, powerIters: Int, seed: Long,
                          extra: Option[Rows => Rows] = None)
                         (f: (Rows, Rows, Array[Double]) => T): T = {
+    val rank = math.min(m.numRows, m.numCols)
+    require(beta <= rank,
+      s"beta = $beta singular vectors exceed min(rows, cols) = min(${m.numRows}, ${m.numCols}) of the matrix")
     val sc = m.rows.sparkContext
     var live = List.empty[Rows] // blocks this loop persisted and has not released
     // `X R⁻¹`, persisted: the next step reads it twice. The Gram job
@@ -63,7 +72,7 @@ object SubspaceIteration {
       v
     }
     try {
-      val width = beta + Oversample
+      val width = beta + math.min(Oversample.toLong, rank - beta).toInt
       // The random start enters as drawn: `X R⁻¹` spans what X spans, so only
       // a call without power steps needs it orthonormalised.
       var v = m.block(Local.gaussianVec(seed, _, width))
@@ -97,7 +106,7 @@ object SubspaceIteration {
                       beta: Int,
                       powerIters: Int,
                       seed: Long): (Dataset[BRow], Array[Double]) = {
-    val m = SparseOp(edges, rowCol, colCol, wCol).cache()
+    val m = SparseOp(edges, rowCol, colCol, wCol)
     try topLeftSingular(m, beta, powerIters, seed) { (vecs, _, sigma) =>
       val kept = vecs.localCheckpoint()
       kept.count()

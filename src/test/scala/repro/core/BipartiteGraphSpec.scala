@@ -51,6 +51,22 @@ class BipartiteGraphSpec extends SparkSpec {
     assert(e.getMessage.contains("u=1, v=4, w=0.0"), e.getMessage)
   }
 
+  test("the graph's operator rejects a null id or weight, naming the edge, and releases what it built") {
+    import sp.implicits._
+    val ok = Seq[(Option[Long], Option[Long], Option[Double])]((Some(0L), Some(0L), Some(1.0)), (Some(3L), Some(1L), Some(2.0)))
+    val sc = sp.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    // An edge with a null is named before an edge that is bad otherwise.
+    Seq((None, Some(2L), Some(1.0)) -> "u=null, v=2, w=1.0",
+        (Some(1L), None, Some(1.0)) -> "u=1, v=null, w=1.0",
+        (Some(1L), Some(2L), None) -> "u=1, v=2, w=null").foreach { case (bad, want) =>
+      val edges = (ok :+ ((Some(0L), Some(1L), Some(-1.0))) :+ bad).toDF("u", "v", "w")
+      val e = intercept[IllegalArgumentException](BipartiteGraph.operator(edges))
+      assert(e.getMessage.contains(s"bad edge ($want)"), e.getMessage)
+    }
+    assert(sc.getPersistentRDDs.keySet == before)
+  }
+
   test("P rows sum to 1 (transition matrix is row-stochastic)") {
     val p = BipartiteGraph.pEdges(randomEdges(1))
     val sums = p.groupBy("u").agg(sum("p").as("s")).collect()

@@ -154,7 +154,7 @@ class HopePlusSpec extends SparkSpec {
       // Every partition count multiplies the same collected edges.
       val edges = g.edges.select("u", "v", "w").as[(Long, Long, Double)].collect().sorted.toSeq.toDF("u", "v", "w")
       val runs = Seq(1, 4, 16).map { p =>
-        val a = Operators.partitioned(edges, p).cache()
+        val a = Operators.partitioned(edges, p)
         val x = try Hope.embed(a, k, hp) finally a.unpersist()
         val l = HopePlus.leftSingular(x, k).transform(Block.localize)
         val lRows = Block.collectMap(l)

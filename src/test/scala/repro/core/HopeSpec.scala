@@ -119,10 +119,25 @@ class HopeSpec extends SparkSpec {
       while (!labels.contains("marker") && System.nanoTime() < deadline) Thread.sleep(20)
     } finally sc.removeSparkListener(listener)
     import scala.jdk.CollectionConverters._
-    // `operator/build` is the shuffle stage of the generated edges' own plan,
-    // which the operator's build runs.
+    // The first `operator/build` is the shuffle stage of the generated edges'
+    // own plan, which the operator's build runs; the second is the build.
     assert(labels.asScala.toSeq.takeWhile(_ != "marker") ==
-      Seq("operator/check", "operator/build", "subspace/step 1", "subspace/step 2", "subspace/ritz", "embed/x"))
+      Seq("operator/build", "operator/build", "subspace/step 1", "subspace/step 2", "subspace/ritz", "embed/x"))
+  }
+
+  test("embed rejects k > |U| and β > min(|U|, |V|), after the edge check") {
+    import sp.implicits._
+    // |U| = 3, |V| = 5.
+    val es = Seq((0L, 0L, 1.0), (0L, 1L, 1.0), (1L, 2L, 2.0), (1L, 3L, 1.0), (2L, 4L, 1.0), (2L, 0L, 1.0))
+    def embed(edges: Seq[(Long, Long, Double)], k: Int, beta: Int) =
+      intercept[IllegalArgumentException](Hope.embed(edges.toDF("u", "v", "w"), k, Hope.Params(beta = beta, powerIters = 1)))
+        .getMessage
+    val tooManyK = embed(es, 4, 4)
+    assert(tooManyK.contains("k = 4") && tooManyK.contains("|U| = 3"), tooManyK)
+    val tooWide = embed(es, 2, 0) // β = 5k = 10
+    assert(tooWide.contains("beta = 10") && tooWide.contains("min(5, 3)"), tooWide) // Q is |V| × |U|
+    val badEdge = embed(es :+ ((1L, 1L, -1.0)), 4, 0)
+    assert(badEdge.contains("bad edge (u=1, v=1, w=-1.0)"), badEdge)
   }
 
   test("is deterministic for a fixed seed") {

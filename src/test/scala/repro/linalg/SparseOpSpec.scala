@@ -1,6 +1,8 @@
 package repro.linalg
 
-import org.apache.spark.ShuffleDependency
+import java.util.Arrays
+
+import org.apache.spark.{HashPartitioner, ShuffleDependency}
 import org.apache.spark.rdd.RDD
 import repro.SparkSpec
 import repro.linalg.SparseOp.Rows
@@ -154,7 +156,7 @@ class SparseOpSpec extends SparkSpec {
 
   test("mul is bit-identical across calls and rejects a block under another partitioning") {
     val (es, dense) = input(11)
-    val op = mkOp(es).cache()
+    val op = mkOp(es)
     val y = op.coPartition(mkDense(dense))
     val a = collect(op.mul(y)); val b = collect(op.mul(y))
     assert(a.keySet == b.keySet && a.forall { case (id, v) => v.sameElements(b(id)) })
@@ -195,5 +197,97 @@ class SparseOpSpec extends SparkSpec {
       assertClose(collect(m.degreeScale(op.coPartition(mkDense(y)), pow)), want)
     }
     intercept[IllegalArgumentException](op.degreeScale(op.coPartition(mkDense(block(dr.keys))).map(identity), 0.5))
+  }
+
+  /** The CSR of `entries` as built before the counting sort: all entries
+    * sorted as boxed `(row, col, w)` tuples, weights in `Double` total order.
+    */
+  private def referenceCsr(entries: Seq[(Long, Long, Double)]): SparseOp.Csr = {
+    val es = entries.toArray
+    es.sortInPlace()(Ordering.Tuple3(Ordering.Long, Ordering.Long, Ordering.Double.TotalOrdering))
+    val rowIds = es.map(_._1).distinct
+    val colIds = es.map(_._2).distinct.sorted
+    val rowPtr = rowIds.map(r => es.indexWhere(_._1 == r)) :+ es.length
+    new SparseOp.Csr(rowIds, rowPtr, colIds, es.map(e => Arrays.binarySearch(colIds, e._2)), es.map(_._3))
+  }
+
+  private def assertSameCsr(got: SparseOp.Csr, want: SparseOp.Csr, where: String): Unit = {
+    assert(got.rowIds.sameElements(want.rowIds), s"$where: rowIds")
+    assert(got.rowPtr.sameElements(want.rowPtr), s"$where: rowPtr")
+    assert(got.colIds.sameElements(want.colIds), s"$where: colIds")
+    assert(got.colIdx.sameElements(want.colIdx), s"$where: colIdx")
+    assert(got.w.map(java.lang.Double.doubleToRawLongBits).sameElements(want.w.map(java.lang.Double.doubleToRawLongBits)),
+           s"$where: w")
+  }
+
+  test("the build's CSRs equal a (row, col, w) tuple sort, array for array") {
+    import sp.implicits._
+    val rnd = new Random(21)
+    val (es, _) = input(21)
+    // One very heavy row, duplicate (row, col) pairs with different weights
+    // (signed zeros among them), negative weights, all in shuffled order.
+    val heavy = Seq.fill(400)((4L, rnd.nextInt(NCols).toLong, rnd.nextGaussian()))
+    val zeros = Seq((6L, 3L, 0.0), (6L, 3L, -0.0), (6L, 3L, -1.5), (6L, 3L, 2.5))
+    val all = rnd.shuffle(es ++ heavy ++ zeros ++ heavy.take(30).map { case (r, c, _) => (r, c, rnd.nextGaussian()) })
+    assert(all.exists(_._3 < 0) && all.map(e => (e._1, e._2)).distinct.size < all.size)
+    val n = 8
+    val p = new HashPartitioner(n)
+    // Entries come from one and from several edge partitions.
+    for (df <- Seq(all.toDF("r", "c", "w").coalesce(1), all.toDF("r", "c", "w").repartition(5))) {
+      val op = SparseOp(df, "r", "c", "w", n)
+      val (rows, cols) = (op.rows.collect(), op.cols.collect())
+      // Even row ids only: the row copy's odd partitions are empty.
+      assert(rows.exists(_.rowIds.isEmpty))
+      for (i <- 0 until n) {
+        assertSameCsr(rows(i), referenceCsr(all.filter(e => p.getPartition(e._1) == i)), s"rows, partition $i")
+        assertSameCsr(cols(i), referenceCsr(transpose(all).filter(e => p.getPartition(e._1) == i)), s"cols, partition $i")
+      }
+      op.unpersist()
+    }
+  }
+
+  test("one job builds and caches the operator: one shuffle under the cached copies, row and column counts") {
+    val (es, _) = input(25)
+    val sc = sp.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val op = mkOp(es)
+    val stored = op.rows.dependencies.head.rdd
+    assert(op.cols.dependencies.head.rdd eq stored)
+    assert(sc.getPersistentRDDs.keySet -- before == Set(stored.id))
+    def shuffles(rdd: RDD[_]): Int = rdd.dependencies.map { d =>
+      (d match { case _: ShuffleDependency[_, _, _] => 1; case _ => 0 }) + shuffles(d.rdd)
+    }.sum
+    assert(shuffles(stored) == 1)
+    assert(op.numRows == es.map(_._1).distinct.size && op.numCols == es.map(_._2).distinct.size)
+    assert(op.t.numRows == op.numCols && op.scaled(-0.5, -1.0).t.numCols == op.numRows)
+    assert(op.firstInvalid.contains(es.filter(e => !(e._3 > 0)).map(e => SparseOp.Entry(Some(e._1), Some(e._2), Some(e._3)))
+      .min(SparseOp.Entry.order)))
+    op.unpersist()
+    assert(sc.getPersistentRDDs.keySet == before)
+  }
+
+  test("gram's upper-triangle kernel is bit-identical to summing every outer product") {
+    val (es, _) = input(27)
+    val op = mkOp(es, numPartitions = 8)
+    // The full `x xᵀ` accumulation, skipping the rows i where `x_i` is zero.
+    def outerInto(acc: Array[Double], x: Array[Double]): Unit =
+      for (i <- x.indices if x(i) != 0.0; j <- x.indices) acc(i * x.length + j) += x(i) * x(j)
+    for (width <- Seq(1, 4, 9)) {
+      // About a third of the entries are zero; odd partitions are empty.
+      val x = op.block { id =>
+        val r = new Random(id * 31 + width)
+        Array.fill(width)(if (r.nextInt(3) == 0) 0.0 else r.nextGaussian() * 1e3)
+      }
+      val parts = x.glom().collect()
+      assert(parts.exists(_.isEmpty) && parts.exists(_.exists(_._2.contains(0.0))))
+      val want = Block.unflatten(parts.filter(_.nonEmpty).map { part =>
+        val acc = new Array[Double](width * width)
+        part.foreach(r => outerInto(acc, r._2))
+        acc
+      }.reduceLeft(Local.addInPlace), width)
+      def bits(m: Local.Mat) = m.flatten.map(java.lang.Double.doubleToRawLongBits).toSeq
+      assert(bits(SparseOp.gram(x)) == bits(want), s"SparseOp.gram, width $width")
+      assert(bits(Block.gram(SparseOp.toDataset(x))) == bits(want), s"Block.gram, width $width")
+    }
   }
 }

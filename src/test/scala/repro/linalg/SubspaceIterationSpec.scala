@@ -98,20 +98,43 @@ class SubspaceIterationSpec extends SparkSpec {
     assert(added.size <= 1, s"still persisted: ${added.mkString(", ")}")
     assert(added.forall(_.isCheckpointed))
     added.foreach(_.unpersist())
-    // Request after request in one session: once each embedding is dropped,
-    // the session holds what it held before.
+    // Request after request in one session: once each result is dropped, the
+    // session holds what it held before.
     val g = repro.TestGraphs.easy(sp)
+    val k = g.config.k
     g.edges.count()
     val held = sc.getPersistentRDDs.keySet
+    import repro.core.{HopePlus, KMeansD}
     for (_ <- 1 to 3) {
-      val x = repro.core.Hope.embed(g.edges, g.config.k, repro.core.Hope.Params(powerIters = 2, seed = 3))
-      assert(x.count() == g.config.nU)
-      def lineage(r: org.apache.spark.rdd.RDD[_]): Seq[org.apache.spark.rdd.RDD[_]] =
-        r +: r.dependencies.flatMap(d => lineage(d.rdd))
-      lineage(x.rdd).filter(r => sc.getPersistentRDDs.contains(r.id)).foreach(_.unpersist())
+      val x = repro.core.Hope.embed(g.edges, k, repro.core.Hope.Params(powerIters = 2, seed = 3))
+      val hope = KMeansD.run(x, k, maxIters = 5, seed = 3)
+      val l = HopePlus.leftSingular(x, k).transform(Block.localize)
+      val rounds = Seq(HopePlus.Fnem, HopePlus.Snem).map(HopePlus.round(l, k, _, maxRounds = 30))
+      (hope +: rounds).foreach(a => assert(a.count() == g.config.nU))
+      (Seq(x, hope, l) ++ rounds).foreach(Block.release)
     }
+    val proj = repro.baselines.Projections.uRows(g.edges, 16, seed = 3)
+    assert(proj.count() == g.config.nU)
+    Block.release(proj)
     assert(sc.getPersistentRDDs.keySet == held,
       s"still persisted: ${sc.getPersistentRDDs.filter { case (id, _) => !held.contains(id) }.values.mkString(", ")}")
+  }
+
+  test("topLeftSingular rejects β > min(rows, cols) and clamps the guard columns to fit") {
+    import sp.implicits._
+    val rnd = new scala.util.Random(43)
+    val rows = 8; val cols = 6
+    val m = Array.fill(rows)(Array.fill(cols)(rnd.nextGaussian()))
+    val edges = (for (i <- 0 until rows; j <- 0 until cols) yield (i.toLong, j.toLong, m(i)(j))).toDF("r", "c", "w")
+    val ids = (0L until rows.toLong).toDF("id")
+    val e = intercept[IllegalArgumentException](SubspaceIteration.topLeftSingular(edges, "r", "c", "w", ids, 7, 5, 3))
+    assert(e.getMessage.contains("beta = 7") && e.getMessage.contains("min(8, 6)"), e.getMessage)
+    // β = 6 leaves no room for guard columns: the block spans M's column
+    // space, so every singular value is exact.
+    val (vecs, sv) = SubspaceIteration.topLeftSingular(edges, "r", "c", "w", ids, cols, 5, 3)
+    val (_, exact, _) = Local.svdSmall(m.map(_.clone()))
+    assert(sv.length == cols && vecs.first().vec.length == cols)
+    for (i <- 0 until cols) assert(math.abs(sv(i) - exact(i)) < 1e-8, s"σ$i: ${sv(i)} vs ${exact(i)}")
   }
 
   test("the Ritz product is Mᵀ U, and Mᵀ extra(V) rotated like V") {
@@ -119,7 +142,7 @@ class SubspaceIterationSpec extends SparkSpec {
     val rnd = new scala.util.Random(41)
     val es = for (i <- 0 until 20; j <- 0 until 14 if rnd.nextDouble() < 0.4)
       yield (i.toLong, j.toLong, 0.5 + rnd.nextDouble())
-    val m = SparseOp(es.toDF("r", "c", "w"), "r", "c", "w").cache()
+    val m = SparseOp(es.toDF("r", "c", "w"), "r", "c", "w")
     val d = es.groupMapReduce(_._1)(_._3)(_ + _)
     val beta = 3
     def mt(u: Map[Long, Array[Double]], scale: Long => Double) =
