@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.BipartiteGraph
-import repro.linalg.{Block, Local, SparseOp}
+import repro.linalg.{Block, Local, Slab, SparseOp}
 import repro.linalg.SparseOp.Rows
 
 /** NMF baseline [61]: rank-k non-negative factorisation `A ≈ W Hᵀ` by
@@ -23,12 +23,17 @@ object NmfBaseline extends Baseline {
   def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
     import spark.implicits._
     BipartiteGraph.withOperator(edges) { a =>
-      def positive(s: Long)(id: Long) = Local.gaussianVec(s, id, k).map(x => math.abs(x) + 0.1)
+      BipartiteGraph.requireClusters(a, k)
+      def positive(s: Long)(id: Long, out: Array[Double], off: Int): Unit = {
+        Local.gaussianInto(s, id, k, out, off)
+        var i = off
+        while (i < off + k) { out(i) = math.abs(out(i)) + 0.1; i += 1 }
+      }
       val eps = 1e-9
       def update(x: Rows, num: Rows, gram: Local.Mat): Rows =
-        SparseOp.zipRows(x, num)(muUpdate(_, _, gram, eps)).persist(SparseOp.Level)
-      var w = a.block(positive(seed)).persist(SparseOp.Level)
-      var h = a.t.block(positive(seed + 1)).persist(SparseOp.Level)
+        SparseOp.zipRows(x, num)(muUpdate(_, _, _, gram, eps)).persist(SparseOp.Level)
+      var w = a.block(k)(positive(seed)).persist(SparseOp.Level)
+      var h = a.t.block(k)(positive(seed + 1)).persist(SparseOp.Level)
       var prevH = Option.empty[Rows] // read until the Gram of `h` has materialised it
       var t = 0
       while (t < iterations) {
@@ -40,23 +45,32 @@ object NmfBaseline extends Baseline {
         prevH = Some(h); h = update(h, a.mul(w), wGram) // Aᵀ W
         t += 1
       }
-      val out = Block.localize(w.map { case (id, v) => (id, Local.argmax(v)) }.toDF("id", "cluster"))
+      val out = Block.localize(w.flatMap { s =>
+        Iterator.tabulate(s.size)(i => (s.ids(i), Local.argmax(s.values, i * s.width, s.width)))
+      }.toDF("id", "cluster"))
       (w :: h :: prevH.toList).foreach(_.unpersist())
       out
     }
   }
 
-  /** One multiplicative update of a factor row: `x ∘ num / (x·G + ε)`. */
-  private def muUpdate(x: Array[Double], num: Array[Double],
-                       gram: Local.Mat, eps: Double): Array[Double] = {
-    val den = Local.vecMat(x, gram)
-    val out = new Array[Double](x.length)
-    var i = 0
-    while (i < x.length) {
-      val n = if (num == null) 0.0 else num(i)
-      out(i) = math.max(x(i) * n / (den(i) + eps), 1e-12)
-      i += 1
+  /** One multiplicative update of the factor rows of a slab,
+    * `x ∘ num / (x·G + ε)`, with `at(i)` the row of `num` for row `i` of
+    * `x` or −1 for a zero numerator.
+    */
+  private def muUpdate(x: Slab, num: Slab, at: Array[Int], gram: Local.Mat, eps: Double): Slab = {
+    val den = Slab.times(x, gram).values
+    val w = x.width
+    val out = new Array[Double](x.values.length)
+    var r = 0
+    while (r < x.size) {
+      var i = 0
+      while (i < w) {
+        val n = if (at(r) < 0) 0.0 else num.values(at(r) * num.width + i)
+        out(r * w + i) = math.max(x.values(r * w + i) * n / (den(r * w + i) + eps), 1e-12)
+        i += 1
+      }
+      r += 1
     }
-    out
+    new Slab(x.ids, w, out)
   }
 }

@@ -22,7 +22,7 @@ object Projections {
   def uRows(edges: DataFrame, dim: Int, seed: Long,
             rowNormalize: Boolean = true): Dataset[BRow] =
     BipartiteGraph.withOperator(edges) { a =>
-      val proj = SparseOp.toDataset(a.mulT(a.t.block(Local.rademacherVec(seed, _, dim))))
-      Block.localize(if (rowNormalize) Block.normalizeRows(proj) else proj)
+      val proj = a.mulT(a.t.block(dim)(Local.rademacherInto(seed, _, dim, _, _)))
+      Block.localize(SparseOp.toDataset(if (rowNormalize) SparseOp.normalizeRows(proj) else proj))
     }
 }

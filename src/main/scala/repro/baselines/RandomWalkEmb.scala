@@ -1,8 +1,8 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{BipartiteGraph, KMeansD}
-import repro.linalg.{BRow, Block, Local, SparseOp}
+import repro.linalg.{Local, Slab, SparseOp}
 import repro.linalg.SparseOp.Rows
 
 /** Random-walk proximity baselines: PPR [56] and NRP [64].
@@ -38,26 +38,30 @@ object RandomWalkEmb {
     * is what the clustering actually compares. `uPow` is the row power of
     * that last product (−1 for `D_u⁻¹A`).
     */
-  private def pprSketch(a: SparseOp, seed: Long, uPow: Double): Dataset[BRow] = {
+  private def pprSketch(a: SparseOp, seed: Long, uPow: Double): Rows = {
     // A function value, not a method: task closures must not capture this object.
-    val r = (side: Long, id: Long) => Local.rademacherVec(seed + side, id, SketchDim)
+    val r = (side: Long, id: Long, out: Array[Double], off: Int) =>
+      Local.rademacherInto(seed + side, id, SketchDim, out, off)
     // z ↦ (1-α)·R + α·z per row, R of the given side.
-    def restart(side: Long)(z: Rows): Rows =
-      z.mapPartitions(_.map { case (id, pz) =>
-        val out = Local.axpy(1 - Alpha, r(side, id))
-        var i = 0
-        while (i < out.length) { out(i) += Alpha * pz(i); i += 1 }
-        (id, out)
-      }, preservesPartitioning = true)
+    def restart(side: Long)(z: Rows): Rows = SparseOp.mapSlabs(z) { s =>
+      Slab.tabulate(s.ids, SketchDim) { (id, out, o) =>
+        r(side, id, out, o)
+        var i = o
+        while (i < o + SketchDim) { out(i) = (1 - Alpha) * out(i) + Alpha * s.values(i); i += 1 }
+      }
+    }
     val toV = a.scaled(0.0, -1.0) // mul: D_v⁻¹Aᵀ, from U rows to V rows
     val toU = a.scaled(-1.0, 0.0) // mulT: D_u⁻¹A, from V rows to U rows
-    var z = a.block(r(0L, _))
+    var z = a.block(SketchDim)(r(0L, _, _, _))
     var t = 1
     while (t < Steps) {
       z = if (t % 2 == 1) restart(1L)(toV.mul(z)) else restart(0L)(toU.mulT(z))
       t += 1
     }
-    SparseOp.toDataset(a.scaled(uPow, 0.0).mulT(z).mapValues(v => Local.axpy(Alpha, v)))
+    SparseOp.mapSlabs(a.scaled(uPow, 0.0).mulT(z))(_.mapRows(SketchDim) { (x, o, out, p) =>
+      var i = 0
+      while (i < SketchDim) { out(p + i) = Alpha * x(o + i); i += 1 }
+    })
   }
 
   /** PPR: k-means over sketched PPR vectors of the U side. */
@@ -67,7 +71,9 @@ object RandomWalkEmb {
 
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
       BipartiteGraph.withOperator(edges) { a =>
-        KMeansD.run(Block.normalizeRows(pprSketch(a, seed, uPow = -1.0)), k, seed = seed)
+        BipartiteGraph.requireClusters(a, k)
+        val sketch = SparseOp.normalizeRows(pprSketch(a, seed, uPow = -1.0))
+        KMeansD.run(SparseOp.toDataset(sketch), k, seed = seed)
       }
   }
 
@@ -79,6 +85,9 @@ object RandomWalkEmb {
 
     // No row normalisation: NRP's reweighting keeps the degree magnitude.
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
-      BipartiteGraph.withOperator(edges)(a => KMeansD.run(pprSketch(a, seed, uPow = -0.5), k, seed = seed))
+      BipartiteGraph.withOperator(edges) { a =>
+        BipartiteGraph.requireClusters(a, k)
+        KMeansD.run(SparseOp.toDataset(pprSketch(a, seed, uPow = -0.5)), k, seed = seed)
+      }
   }
 }

@@ -1,9 +1,10 @@
 package repro.baselines
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{BipartiteGraph, KMeansD}
-import repro.linalg.{Block, SparseOp, SubspaceIteration}
+import repro.linalg.{Slab, SparseOp, SubspaceIteration}
 import repro.linalg.SparseOp.Rows
 
 /** Spectral baselines: SC [55], SCC (Dhillon [12]) and SBC (Kluger [31]).
@@ -24,15 +25,16 @@ object SpectralBaselines {
 
   /** `f` applied to Dhillon's co-embedding: the top `n` singular triplets
     * `(u_i, σ_i, v_i)` of `An = D_u^{-1/2} A D_v^{-1/2}`, as the block U over
-    * u ids and the block `V = Anᵀ U Σ⁻¹` under ids `−1−v`, so U ∪ V is one
-    * id space. `Anᵀ U` is the Rayleigh–Ritz product the iteration already
-    * made. As in [[SubspaceIteration.topLeftSingular]], `f` materialises
-    * what it returns.
+    * u ids and the slabs `V = Anᵀ U Σ⁻¹` under ids `−1−v`, so U ∪ V is one
+    * id space. V keeps `Anᵀ U`'s row order, so its ids descend: it is rows
+    * to cluster, not a block to multiply. `Anᵀ U` is the Rayleigh–Ritz
+    * product the iteration already made. As in
+    * [[SubspaceIteration.topLeftSingular]], `f` materialises what it returns.
     */
-  private[baselines] def coEmbedding[T](a: SparseOp, n: Int, seed: Long)(f: (Rows, Rows) => T): T =
+  private[baselines] def coEmbedding[T](a: SparseOp, n: Int, seed: Long)(f: (Rows, RDD[Slab]) => T): T =
     SubspaceIteration.topLeftSingular(a.scaled(-0.5, -0.5), n, PowerIters, seed) { (u, anTu, sv) =>
       val inv = sv.map(s => if (s > 1e-12) 1.0 / s else 0.0)
-      f(u, anTu.map { case (id, x) => (-1L - id, Array.tabulate(x.length)(j => x(j) * inv(j))) })
+      f(u, anTu.map(s => new Slab(s.ids.map(-1L - _), s.width, Slab.scaleCols(s, inv).values)))
     }
 
   /** Joint k-means over the row-normalised co-embedding of U ∪ V, with the
@@ -40,9 +42,13 @@ object SpectralBaselines {
     */
   private def coCluster(edges: DataFrame, k: Int, n: Int, drop: Int, seed: Long): DataFrame =
     BipartiteGraph.withOperator(edges) { a =>
+      BipartiteGraph.requireClusters(a, k)
       coEmbedding(a, n, seed) { (u, v) =>
-        val joint = SparseOp.toDataset(u.union(v).mapValues(_.drop(drop)))
-        KMeansD.run(Block.normalizeRows(joint), k, seed = seed).where(col("id") >= 0)
+        val joint = u.union(v).map { s =>
+          val w = math.max(0, s.width - drop) // a slab without rows may have width 0
+          Slab.normalizeRows(s.mapRows(w)((x, o, out, p) => System.arraycopy(x, o + drop, out, p, w)))
+        }
+        KMeansD.run(SparseOp.toDataset(joint), k, seed = seed).where(col("id") >= 0)
       }
     }
 
@@ -86,8 +92,9 @@ object SpectralBaselines {
 
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
       BipartiteGraph.withOperator(edges) { a =>
+        BipartiteGraph.requireClusters(a, k)
         SubspaceIteration.topLeftSingular(a.scaled(-1.0, -1.0), k, PowerIters, seed) { (u, _, _) =>
-          KMeansD.run(Block.normalizeRows(SparseOp.toDataset(u)), k, seed = seed)
+          KMeansD.run(SparseOp.toDataset(SparseOp.normalizeRows(u)), k, seed = seed)
         }
       }
   }

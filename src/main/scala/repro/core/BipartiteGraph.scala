@@ -48,6 +48,15 @@ object BipartiteGraph {
     try f(a) finally a.unpersist()
   }
 
+  /** Requires that the graph with operator `a` has at least `k` U-side
+    * vertices to make `k` clusters of, from the counts of the operator's
+    * build, so it runs no Spark job.
+    *
+    * @throws IllegalArgumentException naming k and |U| otherwise
+    */
+  def requireClusters(a: SparseOp, k: Int): Unit =
+    require(k <= a.numRows, s"k = $k clusters exceed |U| = ${a.numRows} vertices")
+
   /** Weighted out-degrees of the U side: `(u, du)`. */
   def uDegrees(edges: DataFrame): DataFrame =
     edges.groupBy("u").agg(sum("w").as("du"))

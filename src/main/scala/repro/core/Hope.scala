@@ -41,7 +41,7 @@ object Hope {
 
   /** [[embed]] on the operator `a` of the graph's biadjacency. */
   private[core] def embed(a: SparseOp, k: Int, params: Params): Dataset[BRow] = {
-    require(k <= a.numRows, s"k = $k clusters exceed |U| = ${a.numRows} vertices")
+    BipartiteGraph.requireClusters(a, k)
     val q = a.scaled(-0.5, -0.5).t
     val beta = params.betaFor(k)
     SubspaceIteration.topLeftSingular(q, beta, params.powerIters, params.seed,
@@ -52,9 +52,12 @@ object Hope {
         (1.0 - params.alpha) / (1.0 - params.alpha * lam)
       }
       // p's second β columns are `D_u^{-1/2} A V W`.
-      val xHat = p.mapValues(r => Array.tabulate(beta)(j => r(beta + j) * factors(j)))
+      val xHat = SparseOp.mapSlabs(p)(_.mapRows(beta) { (r, o, out, q) =>
+        var j = 0
+        while (j < beta) { out(q + j) = r(o + beta + j) * factors(j); j += 1 }
+      })
       Block.labelJobs(p.sparkContext, "embed/x") {
-        Block.localize(Block.normalizeRows(SparseOp.toDataset(xHat)))
+        Block.localize(SparseOp.toDataset(SparseOp.normalizeRows(xHat)))
       }
     }
   }

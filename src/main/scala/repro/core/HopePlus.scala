@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset}
-import repro.linalg.{BRow, Block, Local, SparseOp}
+import repro.linalg.{BRow, Block, Local, Slab, SparseOp}
 
 /** HOPE+ (paper §4, Algorithms 2 and 3).
   *
@@ -18,6 +18,11 @@ import repro.linalg.{BRow, Block, Local, SparseOp}
   *  - SNEM: `T = Lᵀ C`                                  (Lemma 4.5).
   * C's column normalisation (1/√|C_j|) is folded into the local `Lᵀ C`
   * computation; the returned result is the assignment `(id, cluster)`.
+  *
+  * Both stages work on one [[Slab]] per partition of the input's rows, in
+  * its partition order; the products `L·T` are taken 4 rows at a time
+  * ([[Slab.Times]]), each entry adding its terms in the order of
+  * `Local.vecMat`.
   */
 object HopePlus {
 
@@ -36,14 +41,21 @@ object HopePlus {
     * singular directions W_k with singular values s, and rotate:
     * `L = X W_k diag(1/s)` — orthonormal columns by construction.
     *
-    * Columns are sign-fixed (max-|·| entry positive): the greedy seeding of
+    * Columns are sign-fixed (max-|·| entry positive, the first such entry
+    * in partition order on a tie of magnitudes): the greedy seeding of
     * Algorithm 2 argmaxes over L's raw entries, which is only meaningful
     * under a deterministic sign convention — otherwise the all-positive
     * leading vector plus arbitrarily-signed contrasts collapse the seed
     * into one cluster.
+    *
+    * Two Spark jobs: `leftSingular/gram` for `XᵀX` and `leftSingular/signs`
+    * for each column's extreme entry of `X W_k diag(1/s)`. The result is
+    * lazy; callers materialise it (e.g. with [[Block.localize]]).
     */
   def leftSingular(x: Dataset[BRow], k: Int): Dataset[BRow] = {
-    val g = Block.gram(x)
+    val sc = x.sparkSession.sparkContext
+    val slabs = x.rdd.mapPartitions(it => Iterator.single(Slab.of(it)))
+    val g = Block.labelJobs(sc, "leftSingular/gram")(SparseOp.gram(slabs))
     val (w, lam) = Local.symEigDesc(g)
     val rot = Local.zeros(g.length, k)
     var j = 0
@@ -53,7 +65,22 @@ object HopePlus {
       while (i < g.length) { rot(i)(j) = w(i)(j) / s; i += 1 }
       j += 1
     }
-    Block.signFixColumns(Block.timesLocal(x, rot))
+    val l = slabs.map(Slab.times(_, rot))
+    val extremes = Block.labelJobs(sc, "leftSingular/signs") {
+      l.map { s =>
+        val acc = new Array[Double](k)
+        s.values.indices.foreach { e =>
+          val j = e % k
+          if (math.abs(s.values(e)) > math.abs(acc(j))) acc(j) = s.values(e)
+        }
+        acc
+      }.collect().reduceLeft { (a, b) =>
+        a.indices.foreach(j => if (math.abs(b(j)) > math.abs(a(j))) a(j) = b(j))
+        a
+      }
+    }
+    val signs = extremes.map(v => if (v < 0) -1.0 else 1.0)
+    SparseOp.toDataset(l.map(s => Slab.scaleCols(s, signs)))
   }
 
   /** Rounding (Algorithm 3): alternate T and C updates until C is unchanged
@@ -74,7 +101,7 @@ object HopePlus {
     import spark.implicits._
     val sc = spark.sparkContext
     val label = s"round.${urt.name.toLowerCase}"
-    val rows = l.rdd.map(r => (r.id, r.vec)).persist(SparseOp.Level)
+    val rows = l.rdd.mapPartitions(it => Iterator.single(Slab.of(it))).persist(SparseOp.Level)
     try {
       // Greedy seeding (Lines 6–10, Alg. 2): argmax over L itself, i.e. T = I.
       var t = Local.eye(k)
@@ -97,7 +124,7 @@ object HopePlus {
       }
       val tFinal = t
       val out = Block.labelJobs(sc, s"$label/assign") {
-        Block.localize(rows.mapValues(v => Local.argmax(Local.vecMat(v, tFinal))).toDF("id", "cluster"))
+        Block.localize(rows.flatMap(x => x.ids.iterator.zip(argmaxes(x, tFinal).iterator)).toDF("id", "cluster"))
       }
       (out, rounds)
     } finally rows.unpersist()
@@ -144,21 +171,9 @@ object HopePlus {
     * argmax under `prev` (if not null) differs. Per-partition partials are
     * added in partition order.
     */
-  private def pass(rows: RDD[(Long, Array[Double])], t: Local.Mat, prev: Local.Mat,
+  private def pass(rows: RDD[Slab], t: Local.Mat, prev: Local.Mat,
                    k: Int): (Local.Mat, Array[Long], Long) = {
-    val parts = rows.mapPartitions { it =>
-      val sums = new Array[Double](k * k) // sums(j·k + a) = Σ_{i ∈ C_j} L_i(a)
-      val sizes = new Array[Long](k)
-      var changed = 0L
-      it.foreach { case (_, v) =>
-        val j = Local.argmax(Local.vecMat(v, t))
-        if (prev != null && Local.argmax(Local.vecMat(v, prev)) != j) changed += 1
-        var a = 0
-        while (a < k) { sums(j * k + a) += v(a); a += 1 }
-        sizes(j) += 1
-      }
-      Iterator.single((sums, sizes, changed))
-    }.collect()
+    val parts = rows.map(passPartial(_, t, prev, k)).collect()
     val sums = Block.sumInOrder(parts.map(_._1))
     val sizes = Array.tabulate(k)(j => parts.map(_._2(j)).sum)
     val m = Local.zeros(k, k)
@@ -170,6 +185,46 @@ object HopePlus {
       }
     }
     (m, sizes, parts.map(_._3).sum)
+  }
+
+  /** [[pass]] over the rows of one slab: the flat `sums(j·k + a)` =
+    * `Σ_{i ∈ C_j} L_i(a)` added in row order, the cluster sizes and the
+    * rows changed.
+    */
+  private[core] def passPartial(x: Slab, t: Local.Mat, prev: Local.Mat, k: Int): (Array[Double], Array[Long], Long) = {
+    val sums = new Array[Double](k * k)
+    val sizes = new Array[Long](k)
+    val c = argmaxes(x, t)
+    var changed = 0L
+    if (prev != null) {
+      val p = argmaxes(x, prev)
+      var i = 0
+      while (i < x.size) { if (p(i) != c(i)) changed += 1; i += 1 }
+    }
+    var i = 0
+    while (i < x.size) {
+      val j = c(i); val o = i * k
+      var a = 0
+      while (a < k) { sums(j * k + a) += x.values(o + a); a += 1 }
+      sizes(j) += 1
+      i += 1
+    }
+    (sums, sizes, changed)
+  }
+
+  /** `argmax(L_i · t)` for every row `L_i` of `x`, 4 rows at a time. */
+  private def argmaxes(x: Slab, t: Local.Mat): Array[Int] = {
+    val times = new Slab.Times(t)
+    val out = new Array[Int](x.size)
+    var r = 0
+    while (r < x.size) {
+      val rows = math.min(4, x.size - r)
+      times(x.values, 0, x.width, r, rows)
+      var q = 0
+      while (q < rows) { out(r + q) = Local.argmax(times.out(q)); q += 1 }
+      r += rows
+    }
+    out
   }
 
   /** Full HOPE+ for one rounding scheme. */

@@ -1,5 +1,7 @@
 package repro.linalg
 
+import scala.reflect.ClassTag
+
 import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset}
@@ -38,29 +40,20 @@ object Block {
   private[linalg] def unflatten(flat: Array[Double], cols: Int): Local.Mat =
     flat.grouped(cols).toArray
 
-  /** One partial Gram `Σ x xᵀ` over `rows`, or none if there are no rows:
-    * a flat row-major accumulator of which only the upper triangle (i ≤ j)
-    * is filled, each entry adding its products in row order; [[symGram]]
-    * completes it.
+  /** One partial Gram `Σ x xᵀ` over the rows of `s`, first `n` columns
+    * (all for `n < 0`), or none if there are no rows: a flat row-major
+    * accumulator of which only the upper triangle (i ≤ j) is filled, each
+    * entry adding its products in row order ([[Slab.upperGramInto]]);
+    * [[symGram]] completes it.
     */
-  private[linalg] def upperGram(rows: Iterator[Array[Double]]): Iterator[Array[Double]] = {
-    var acc: Array[Double] = null
-    rows.foreach { x =>
-      val n = x.length
-      if (acc == null) acc = new Array[Double](n * n)
-      var i = 0
-      while (i < n) {
-        val xi = x(i)
-        if (xi != 0.0) {
-          val base = i * n
-          var j = i
-          while (j < n) { acc(base + j) += xi * x(j); j += 1 }
-        }
-        i += 1
-      }
+  private[linalg] def upperGram(s: Slab, n: Int): Iterator[Array[Double]] =
+    if (s.size == 0) Iterator.empty
+    else {
+      val cols = if (n < 0) s.width else n
+      val acc = new Array[Double](cols * cols)
+      Slab.upperGramInto(s, cols, acc)
+      Iterator.single(acc)
     }
-    Option(acc).iterator
-  }
 
   /** `XᵀX` from the per-partition [[upperGram]] partials: their sum in
     * partition order with the upper triangle mirrored into the lower. A
@@ -93,7 +86,7 @@ object Block {
   def gram(x: Dataset[BRow]): Local.Mat = {
     val spark = x.sparkSession
     import spark.implicits._
-    symGram(x.mapPartitions(it => upperGram(it.map(_.vec))).collect())
+    symGram(x.mapPartitions(it => upperGram(Slab.of(it), -1)).collect())
   }
 
   /** Right-multiply every row by a local matrix: `out_i = x_i · M`. `M`
@@ -104,28 +97,6 @@ object Block {
     val spark = x.sparkSession
     import spark.implicits._
     x.map(r => BRow(r.id, Local.vecMat(r.vec, m)))
-  }
-
-  /** Scale column j of every row by `d(j)`; `d` travels in the task closure. */
-  def scaleCols(x: Dataset[BRow], d: Array[Double]): Dataset[BRow] = {
-    val spark = x.sparkSession
-    import spark.implicits._
-    x.map { r =>
-      val out = new Array[Double](r.vec.length)
-      var i = 0
-      while (i < out.length) { out(i) = r.vec(i) * d(i); i += 1 }
-      BRow(r.id, out)
-    }
-  }
-
-  /** L2-normalise every row; zero rows are left as zeros. */
-  def normalizeRows(x: Dataset[BRow]): Dataset[BRow] = {
-    val spark = x.sparkSession
-    import spark.implicits._
-    x.map { r =>
-      val n = Local.l2(r.vec)
-      if (n == 0.0) r else BRow(r.id, Local.axpy(1.0 / n, r.vec))
-    }
   }
 
   /** Deterministic gaussian block over `ids` (column "id"). */
@@ -154,34 +125,6 @@ object Block {
     Local.invUpper(Local.choleskyUpper(g))
   }
 
-  /** Fix the sign of every column so its maximum-|·| entry is positive — the
-    * standard deterministic sign convention for singular/eigenvectors. The
-    * greedy seeding of HOPE+ (argmax per row of L) is meaningless under the
-    * sign ambiguity of eigenvectors; this convention makes each contrast
-    * column "claim" the cluster it marks most strongly.
-    */
-  def signFixColumns(x: Dataset[BRow]): Dataset[BRow] = {
-    val spark = x.sparkSession
-    import spark.implicits._
-    val extremes = x.mapPartitions { it =>
-      var acc: Array[Double] = null
-      it.foreach { r =>
-        if (acc == null) acc = new Array[Double](r.vec.length)
-        var i = 0
-        while (i < r.vec.length) {
-          if (math.abs(r.vec(i)) > math.abs(acc(i))) acc(i) = r.vec(i)
-          i += 1
-        }
-      }
-      Option(acc).iterator
-    }.collect().reduceLeft { (a, b) =>
-      var i = 0
-      while (i < a.length) { if (math.abs(b(i)) > math.abs(a(i))) a(i) = b(i); i += 1 }
-      a
-    }
-    scaleCols(x, extremes.map(v => if (v < 0) -1.0 else 1.0))
-  }
-
   /** `body`, with every Spark job it submits described as `label` (Spark's
     * job description, which listeners and the event log report); the
     * caller's description is restored after.
@@ -197,7 +140,9 @@ object Block {
     x.collect().map(r => r.id -> r.vec).toMap
 
   /** Materialise a Dataset and truncate BOTH its RDD lineage and its Catalyst
-    * plan, returning a fresh Dataset over the checkpointed RDD.
+    * plan, returning a fresh Dataset over the checkpointed RDD. The
+    * checkpoint holds one array of rows per partition, so the block store
+    * sizes one object per partition, not one per row.
     *
     * `Dataset.localCheckpoint` is NOT used because (Spark 4) the resulting
     * `LogicalRDD` inherits the origin plan's size-in-bytes statistics; in an
@@ -207,10 +152,10 @@ object Block {
     * Rebuilding via `createDataset` resets the stats every generation.
     */
   def localize[T](ds: Dataset[T]): Dataset[T] = {
-    val spark = ds.sparkSession
-    val rdd = ds.rdd.localCheckpoint()
-    rdd.count() // materialise eagerly so lineage is actually truncated
-    spark.createDataset(rdd)(ds.encoder)
+    implicit val tag: ClassTag[T] = ds.encoder.clsTag
+    val parts = ds.rdd.mapPartitions(it => Iterator.single(it.toArray)).localCheckpoint()
+    parts.count() // materialise eagerly so lineage is actually truncated
+    ds.sparkSession.createDataset(parts.flatMap(_.iterator))(ds.encoder)
   }
 
   /** Unpersist every persisted RDD in the lineage of `ds`: for a Dataset

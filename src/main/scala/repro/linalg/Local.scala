@@ -169,15 +169,31 @@ object Local {
 
   /** Deterministic gaussian vector for a given (seed, id). */
   def gaussianVec(seed: Long, id: Long, dim: Int): Array[Double] = {
+    val out = new Array[Double](dim)
+    gaussianInto(seed, id, dim, out, 0)
+    out
+  }
+
+  /** [[gaussianVec]] written into `out(off until off + dim)`. */
+  def gaussianInto(seed: Long, id: Long, dim: Int, out: Array[Double], off: Int): Unit = {
     val rng = new java.util.Random(mix(seed ^ mix(id)))
-    Array.fill(dim)(rng.nextGaussian())
+    var i = 0
+    while (i < dim) { out(off + i) = rng.nextGaussian(); i += 1 }
   }
 
   /** Deterministic ±1/sqrt(dim) Rademacher vector for a given (seed, id). */
   def rademacherVec(seed: Long, id: Long, dim: Int): Array[Double] = {
+    val out = new Array[Double](dim)
+    rademacherInto(seed, id, dim, out, 0)
+    out
+  }
+
+  /** [[rademacherVec]] written into `out(off until off + dim)`. */
+  def rademacherInto(seed: Long, id: Long, dim: Int, out: Array[Double], off: Int): Unit = {
     val rng = new java.util.Random(mix(seed ^ mix(id)))
     val s = 1.0 / math.sqrt(dim.toDouble)
-    Array.fill(dim)(if (rng.nextBoolean()) s else -s)
+    var i = 0
+    while (i < dim) { out(off + i) = if (rng.nextBoolean()) s else -s; i += 1 }
   }
 
   def l2(v: Array[Double]): Double = {
@@ -199,15 +215,40 @@ object Local {
     out
   }
 
-  def sqDist(a: Array[Double], b: Array[Double]): Double = {
+  def sqDist(a: Array[Double], b: Array[Double]): Double = sqDist(a, 0, a.length, b)
+
+  /** `out(oo + q) = sqDist(a(ao until ao + n), b_q)` for the 4 vectors
+    * `b_0 … b_3`, each sum adding its terms in the order of `sqDist`
+    * (`(x − y)²` and `(y − x)²` are the same double), with one load of `a`
+    * feeding all 4.
+    */
+  def sqDist4(a: Array[Double], ao: Int, n: Int,
+              b0: Array[Double], b1: Array[Double], b2: Array[Double], b3: Array[Double],
+              out: Array[Double], oo: Int): Unit = {
+    var s0 = 0.0; var s1 = 0.0; var s2 = 0.0; var s3 = 0.0
+    var i = 0
+    while (i < n) {
+      val x = a(ao + i)
+      val d0 = x - b0(i); val d1 = x - b1(i); val d2 = x - b2(i); val d3 = x - b3(i)
+      s0 += d0 * d0; s1 += d1 * d1; s2 += d2 * d2; s3 += d3 * d3
+      i += 1
+    }
+    out(oo) = s0; out(oo + 1) = s1; out(oo + 2) = s2; out(oo + 3) = s3
+  }
+
+  /** `sqDist` of `a(ao until ao + n)` and `b`. */
+  def sqDist(a: Array[Double], ao: Int, n: Int, b: Array[Double]): Double = {
     var s = 0.0; var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
+    while (i < n) { val d = a(ao + i) - b(i); s += d * d; i += 1 }
     s
   }
 
-  def argmax(v: Array[Double]): Int = {
+  def argmax(v: Array[Double]): Int = argmax(v, 0, v.length)
+
+  /** Index in `0 until n` of the first maximum of `v(off until off + n)`. */
+  def argmax(v: Array[Double], off: Int, n: Int): Int = {
     var best = 0; var i = 1
-    while (i < v.length) { if (v(i) > v(best)) best = i; i += 1 }
+    while (i < n) { if (v(off + i) > v(off + best)) best = i; i += 1 }
     best
   }
 }

@@ -2,7 +2,9 @@ package repro.linalg
 
 import java.util.Arrays
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 import org.apache.spark.{HashPartitioner, Partitioner, TaskContext}
 import org.apache.spark.rdd.RDD
@@ -19,12 +21,15 @@ import org.apache.spark.storage.StorageLevel
   * that holds one of its entries, so a product's shuffle and task count grow
   * with the number of partitions; one per core keeps every core busy and no
   * more partial sums than that. Dense blocks
-  * it multiplies are [[SparseOp.Rows]] under the same partitioner, so row `r`
-  * of the block and row `r` of the matrix sit in the same partition and a
-  * product is a `zipPartitions`: each partition accumulates its share of the
-  * output in place, and only the combined partial sums are shuffled — one
-  * shuffle per product, none of the matrix or of the dense block. The output
-  * is again a block under the same partitioner, ready for the next product.
+  * it multiplies are [[SparseOp.Rows]] under the same partitioner, one
+  * [[Slab]] per partition, so row `r` of the block and row `r` of the matrix
+  * sit in the same partition and a product is a `zipPartitions`: each
+  * partition accumulates its share of the output in place, and only the
+  * combined partial sums are shuffled, as one [[SparseOp.Partial]] slab per
+  * (map partition, reduce partition) pair — one shuffle per product and at
+  * most P² records for P partitions, none of the matrix or of the dense
+  * block. The output is again a block under the same partitioner, ready for
+  * the next product.
   *
   * One operator serves every degree scaling of its matrix A: `scaled(a, b)`
   * is the view `D_r^a · A · D_c^b` and `t` the transposed view, both over the
@@ -41,8 +46,8 @@ import org.apache.spark.storage.StorageLevel
   * primitives or primitive arrays, and on Java 17 Kryo fails on such records
   * (`InaccessibleObjectException` on `java.nio.ByteBuffer.hb`) unless the JVM
   * opens `java.base/java.nio`. So every shuffled value here is a wrapper
-  * class ([[SparseOp.Partial]], [[BRow]], a tuple), which keeps those shuffles
-  * on the configured serializer.
+  * class ([[SparseOp.Partial]], the build's chunk, [[BRow]]), whatever its
+  * key, which keeps those shuffles on the configured serializer.
   *
   * The operator is built and cached by one Spark job (`operator/build`,
   * [[SparseOp.apply]]) and holds its copies until the owner calls
@@ -62,6 +67,10 @@ final class SparseOp private (private[linalg] val rows: RDD[SparseOp.Csr],
   import SparseOp._
 
   val partitioner: Partitioner = rows.partitioner.get
+  // A product keys its partial sums by their destination partition's index
+  // and routes them with `partitioner`, which must send index d to
+  // partition d: a HashPartitioner does for 0 ≤ d < P.
+  require(partitioner.isInstanceOf[HashPartitioner], s"an operator needs a HashPartitioner, not $partitioner")
 
   /** The view `D_r^a · M · D_c^b` of this matrix M, where `D_r` and `D_c`
     * are the diagonal matrices of the raw edge weights' row and column sums.
@@ -73,13 +82,14 @@ final class SparseOp private (private[linalg] val rows: RDD[SparseOp.Csr],
   def t: SparseOp = new SparseOp(cols, rows, numCols, numRows, firstInvalid, stored, colPow, rowPow)
 
   /** `out = Mᵀ y`, i.e. `out[c] = Σ_r m(r,c) · y[r]`, for a block `y` keyed
-    * by row id.
+    * by row id. The partials are keyed by destination partition index, so
+    * the operator's HashPartitioner routes partial d to partition d.
     */
   def mul(y: Rows): Rows = {
     requireCoPartitioned(y)
-    val (a, b) = (rowPow, colPow)
+    val (a, b, p) = (rowPow, colPow, partitioner)
     val partials = rows.zipPartitions(y) { (csrs, ys) =>
-      csrs.next().times(ys, a, TaskContext.getPartitionId())
+      csrs.next().times(ys.next(), a, p, TaskContext.getPartitionId())
     }.partitionBy(partitioner)
     // Output rows are column ids, held in the same partitions by `cols`.
     if (b == 0.0) partials.mapPartitions(combine(_, null, 0.0), preservesPartitioning = true)
@@ -98,13 +108,17 @@ final class SparseOp private (private[linalg] val rows: RDD[SparseOp.Csr],
   def degreeScale(y: Rows, pow: Double): Rows = {
     requireCoPartitioned(y)
     rows.zipPartitions(y, preservesPartitioning = true) { (csrs, ys) =>
-      val csr = csrs.next()
-      ys.map { case (id, v) =>
-        val i = Arrays.binarySearch(csr.rowIds, id)
-        require(i >= 0, s"row $id of the block is not a row of the matrix")
-        val s = csr.degreePow(i, pow)
-        (id, v.map(_ * s))
+      val csr = csrs.next(); val x = ys.next()
+      val at = csr.indexOf(x.ids)
+      val out = new Array[Double](x.values.length)
+      var i = 0
+      while (i < x.size) {
+        val s = csr.degreePow(at(i), pow)
+        var j = i * x.width
+        while (j < (i + 1) * x.width) { out(j) = x.values(j) * s; j += 1 }
+        i += 1
       }
+      Iterator.single(new Slab(x.ids, x.width, out))
     }
   }
 
@@ -112,16 +126,18 @@ final class SparseOp private (private[linalg] val rows: RDD[SparseOp.Csr],
     require(y.partitioner.contains(partitioner),
       s"dense block is partitioned by ${y.partitioner}, not by the operator's $partitioner")
 
-  /** A block with one row `f(id)` per row id of the matrix, co-partitioned
-    * with it; `f` must be a pure function of the id.
+  /** A block of the given width with one row per row id of the matrix,
+    * co-partitioned with it; `fill(id, values, offset)` writes row `id`
+    * into its slab and must be a pure function of the id.
     */
-  def block(f: Long => Array[Double]): Rows =
-    rows.mapPartitions(_.next().rowIds.iterator.map(id => (id, f(id))), preservesPartitioning = true)
+  def block(width: Int)(fill: (Long, Array[Double], Int) => Unit): Rows =
+    rows.mapPartitions(cs => Iterator.single(Slab.tabulate(cs.next().rowIds, width)(fill)),
+                       preservesPartitioning = true)
 
   /** Redistribute a dense row-block under this operator's partitioner. */
   def coPartition(x: Dataset[BRow]): Rows =
     x.rdd.keyBy(_.id).partitionBy(partitioner)
-      .mapPartitions(it => it.map { case (id, r) => (id, r.vec) }.toArray.sortBy(_._1).iterator,
+      .mapPartitions(it => Iterator.single(Slab.of(it.map(_._2).toArray.sortBy(_.id).iterator)),
                      preservesPartitioning = true)
 
   /** Release the cached copies, for this operator and all its views. */
@@ -130,10 +146,10 @@ final class SparseOp private (private[linalg] val rows: RDD[SparseOp.Csr],
 
 object SparseOp {
 
-  /** A dense row-block co-partitioned with an operator: `(id, row)` pairs,
-    * ids unique and ascending within each partition.
+  /** A dense row-block co-partitioned with an operator: one [[Slab]] per
+    * partition, its ids unique and ascending.
     */
-  type Rows = RDD[(Long, Array[Double])]
+  type Rows = RDD[Slab]
 
   /** Storage level of the cached copies and of persisted blocks. */
   val Level = StorageLevel.MEMORY_AND_DISK
@@ -252,8 +268,10 @@ object SparseOp {
     Iterator.tabulate(p.numPartitions)(i => (i, new Chunk(byRow(i).result, byCol(i).result, if (i == 0) bad else None)))
   }
 
-  /** One output row's partial sum from map partition `src`. */
-  private[linalg] final case class Partial(src: Int, vec: Array[Double])
+  /** The partial sums that map partition `src` sends one reduce
+    * partition: a slab of the output rows it reached there, ids ascending.
+    */
+  private[linalg] final class Partial(val src: Int, val sums: Slab) extends Serializable
 
   /** One partition's slice of a sparse matrix in CSR form. Rows ascend by
     * id; a row's entries ascend by (column, weight). Column ids are interned
@@ -274,38 +292,77 @@ object SparseOp {
     /** `rowSums(i)^pow`, exactly 1 for `pow == 0`. */
     def degreePow(i: Int, pow: Double): Double = if (pow == 0.0) 1.0 else math.pow(rowSums(i), pow)
 
-    /** Partial sums `Σ_r w(r,c) · d_r^pow · y[r]` over this slice's rows, one
-      * per column reached from a row present in `ys`.
+    /** For each of the ascending `ids`, its index in `rowIds`, found by a
+      * merge of the two.
+      *
+      * @throws IllegalArgumentException if an id is not a row of the slice
       */
-    def times(ys: Iterator[(Long, Array[Double])], pow: Double, src: Int): Iterator[(Long, Partial)] = {
-      val y = new Array[Array[Double]](rowIds.length)
-      var width = -1
-      ys.foreach { case (id, v) =>
-        width = v.length
-        val i = Arrays.binarySearch(rowIds, id)
-        if (i >= 0) y(i) = v
-      }
-      if (width < 0) return Iterator.empty
-      val acc = new Array[Double](colIds.length * width)
-      val reached = new Array[Boolean](colIds.length)
+    def indexOf(ids: Array[Long]): Array[Int] = {
+      val at = new Array[Int](ids.length)
       var i = 0
-      while (i < rowIds.length) {
-        val yi = y(i)
-        if (yi != null) {
+      var r = 0
+      while (r < ids.length) {
+        while (i < rowIds.length && rowIds(i) < ids(r)) i += 1
+        require(i < rowIds.length && rowIds(i) == ids(r), s"row ${ids(r)} of the block is not a row of the matrix")
+        at(r) = i
+        r += 1
+      }
+      at
+    }
+
+    /** Partial sums `Σ_r w(r,c) · d_r^pow · y[r]` over this slice's rows
+      * present in `y`, one row per column reached from them, as one
+      * [[Partial]] per reduce partition of `p` that a column falls in.
+      *
+      * `y`'s rows are lined up with the slice's rows by a merge (both
+      * ascend). Each reduce partition gets its own accumulator, which
+      * becomes the partial's slab as it is when every one of its columns is
+      * reached; a column adds its terms in row order, then entry order.
+      */
+    def times(y: Slab, pow: Double, p: Partitioner, src: Int): Iterator[(Int, Partial)] = {
+      val width = y.width
+      // Column c is row pos(c) of reduce partition dst(c)'s accumulator.
+      val dst = new Array[Int](colIds.length); val pos = new Array[Int](colIds.length)
+      val count = new Array[Int](p.numPartitions)
+      var c = 0
+      while (c < colIds.length) {
+        val d = p.getPartition(colIds(c))
+        dst(c) = d; pos(c) = count(d); count(d) += 1
+        c += 1
+      }
+      val acc = new Array[Array[Double]](p.numPartitions)
+      val reached = new Array[Boolean](colIds.length)
+      var i = 0 // row of the slice
+      var r = 0 // row of y
+      while (r < y.size) {
+        while (i < rowIds.length && rowIds(i) < y.ids(r)) i += 1
+        if (i < rowIds.length && rowIds(i) == y.ids(r)) {
           val s = degreePow(i, pow)
+          val yo = r * width
           var e = rowPtr(i)
           while (e < rowPtr(i + 1)) {
-            val c = colIdx(e); val we = w(e) * s; val base = c * width
+            val col = colIdx(e); val we = w(e) * s
+            val d = dst(col)
+            if (acc(d) == null) acc(d) = new Array[Double](count(d) * width)
+            val a = acc(d); val base = pos(col) * width
             var j = 0
-            while (j < width) { acc(base + j) += we * yi(j); j += 1 }
-            reached(c) = true
+            while (j < width) { a(base + j) += we * y.values(yo + j); j += 1 }
+            reached(col) = true
             e += 1
           }
         }
-        i += 1
+        r += 1
       }
-      Iterator.range(0, colIds.length).filter(reached(_)).map { c =>
-        (colIds(c), Partial(src, Arrays.copyOfRange(acc, c * width, (c + 1) * width)))
+      Iterator.range(0, p.numPartitions).filter(acc(_) != null).map { d =>
+        val cs = Iterator.range(0, colIds.length).filter(c => dst(c) == d && reached(c)).toArray
+        val sums =
+          if (cs.length == count(d)) acc(d)
+          else {
+            val out = new Array[Double](cs.length * width)
+            cs.indices.foreach(k => System.arraycopy(acc(d), pos(cs(k)) * width, out, k * width, width))
+            out
+          }
+        (d, new Partial(src, new Slab(cs.map(colIds), width, sums)))
       }
     }
   }
@@ -319,9 +376,9 @@ object SparseOp {
       * `Double` total order.
       */
     def apply(parts: Array[Triples]): Csr = {
-      val r = Array.concat(parts.map(_.key): _*)
-      val c = Array.concat(parts.map(_.other): _*)
-      val w = Array.concat(parts.map(_.w): _*)
+      val r = concat(parts.map(_.key))
+      val c = concat(parts.map(_.other))
+      val w = concat(parts.map(_.w))
       val rowIds = distinctSorted(r); val colIds = distinctSorted(c)
       val rowOf = r.map(Arrays.binarySearch(rowIds, _))
       val rowPtr = new Array[Int](rowIds.length + 1)
@@ -355,69 +412,114 @@ object SparseOp {
       }
       new Csr(rowIds, rowPtr, colIds, colIdx, ws)
     }
-
-    private def distinctSorted(a: Array[Long]): Array[Long] = {
-      val s = a.clone()
-      Arrays.sort(s)
-      var n = 0
-      s.foreach { x => if (n == 0 || x != s(n - 1)) { s(n) = x; n += 1 } }
-      Arrays.copyOf(s, n)
-    }
   }
 
-  /** Add up each id's partial sums in the order of their source partitions,
-    * emitting ids in ascending order; with `pow != 0`, scale row `id` by the
-    * `pow`-th power of its row sum in `csr`, the copy that holds it.
+  /** The distinct values of `a`, ascending. */
+  private def distinctSorted(a: Array[Long]): Array[Long] = {
+    val s = a.clone()
+    Arrays.sort(s)
+    var n = 0
+    var i = 0
+    while (i < s.length) { if (n == 0 || s(i) != s(n - 1)) { s(n) = s(i); n += 1 }; i += 1 }
+    Arrays.copyOf(s, n)
+  }
+
+  /** One slab from the partials a reduce partition received: each output
+    * row is the sum of its partial sums in the order of their source
+    * partitions (the first copied, the others added), ids ascending; with
+    * `pow != 0`, row `id` is then scaled by the `pow`-th power of its row
+    * sum in `csr`, the copy that holds it.
     */
-  private def combine(it: Iterator[(Long, Partial)], csr: Csr, pow: Double): Iterator[(Long, Array[Double])] = {
-    val byId = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Partial]]
-    it.foreach { case (id, p) => byId.getOrElseUpdate(id, mutable.ArrayBuffer.empty) += p }
-    byId.keys.toArray.sorted.iterator.map { id =>
-      val parts = byId(id).sortBy(_.src)
-      val out = parts.head.vec
-      parts.iterator.drop(1).foreach(p => Local.addInPlace(out, p.vec))
-      if (pow != 0.0) {
-        val s = csr.degreePow(Arrays.binarySearch(csr.rowIds, id), pow)
-        var j = 0
-        while (j < out.length) { out(j) *= s; j += 1 }
+  private def combine(it: Iterator[(Int, Partial)], csr: Csr, pow: Double): Iterator[Slab] = {
+    val parts = it.map(_._2).toArray.sortBy(_.src).map(_.sums)
+    val ids = distinctSorted(concat(parts.map(_.ids)))
+    val width = parts.headOption.fold(0)(_.width)
+    val out = new Array[Double](ids.length * width)
+    val filled = new Array[Boolean](ids.length)
+    parts.foreach { s =>
+      var k = 0
+      var r = 0
+      while (r < s.size) {
+        while (ids(k) < s.ids(r)) k += 1
+        val (from, to) = (r * width, k * width)
+        if (filled(k)) { var j = 0; while (j < width) { out(to + j) += s.values(from + j); j += 1 } }
+        else { System.arraycopy(s.values, from, out, to, width); filled(k) = true }
+        r += 1
       }
-      (id, out)
     }
+    if (pow != 0.0) {
+      val at = csr.indexOf(ids)
+      var k = 0
+      while (k < ids.length) {
+        val s = csr.degreePow(at(k), pow)
+        var j = k * width
+        while (j < (k + 1) * width) { out(j) *= s; j += 1 }
+        k += 1
+      }
+    }
+    Iterator.single(new Slab(ids, width, out))
   }
+
+  private def concat[T: ClassTag](parts: Array[Array[T]]): Array[T] =
+    Array.concat(ArraySeq.unsafeWrapArray(parts): _*)
 
   /** Gram matrix `XᵀX` of a block, collected to the driver. */
-  def gram(x: Rows): Local.Mat = Block.symGram(x.mapPartitions(it => Block.upperGram(it.map(_._2))).collect())
+  def gram(x: Rows): Local.Mat = gram(x, -1)
 
-  /** `f(x_i, y_i)` for every row `x_i` of `x`, with `y_i` the row of equal
-    * id in the co-partitioned block `y`, or null.
+  /** Gram matrix of the first `n` columns of a block (all for `n < 0`). */
+  private[linalg] def gram(x: Rows, n: Int): Local.Mat =
+    Block.symGram(x.mapPartitions(s => Block.upperGram(s.next(), n)).collect())
+
+  /** `f(x, y, at)` on each partition's slabs of two co-partitioned blocks,
+    * where `at(i)` is the row of `y` with the id of row `i` of `x`, or −1.
     */
-  def zipRows(x: Rows, y: Rows)(f: (Array[Double], Array[Double]) => Array[Double]): Rows =
+  def zipRows(x: Rows, y: Rows)(f: (Slab, Slab, Array[Int]) => Slab): Rows =
     x.zipPartitions(y, preservesPartitioning = true) { (xs, ys) =>
-      mergeLeft(xs, ys).map { case (id, xv, yv) => (id, f(xv, yv)) }
+      val (a, b) = (xs.next(), ys.next())
+      val at = new Array[Int](a.size)
+      var k = 0
+      var i = 0
+      while (i < a.size) {
+        while (k < b.size && b.ids(k) < a.ids(i)) k += 1
+        at(i) = if (k < b.size && b.ids(k) == a.ids(i)) k else -1
+        i += 1
+      }
+      Iterator.single(f(a, b, at))
     }
 
-  /** Right-multiply every row by a local matrix: `out_i = x_i · M`. `M`
-    * (at most a few hundred KB) travels in the task closure, so nothing
-    * outlives the call.
+  /** `[x | y]`: the rows of `x` with the rows of equal id in the
+    * co-partitioned block `y` appended, zeros where `y` has none.
     */
-  def timesLocal(x: Rows, m: Local.Mat): Rows = x.mapValues(v => Local.vecMat(v, m))
-
-  /** Each row of `xs` with the row of equal id in `ys`, or null; both
-    * iterators ascend by id.
-    */
-  private def mergeLeft(xs: Iterator[(Long, Array[Double])], ys: Iterator[(Long, Array[Double])])
-      : Iterator[(Long, Array[Double], Array[Double])] = {
-    val yb = ys.buffered
-    xs.map { case (id, xv) =>
-      while (yb.hasNext && yb.head._1 < id) yb.next()
-      (id, xv, if (yb.hasNext && yb.head._1 == id) yb.next()._2 else null)
+  def hcat(x: Rows, y: Rows): Rows = zipRows(x, y) { (a, b, at) =>
+    val w = a.width + b.width
+    val out = new Array[Double](a.size * w)
+    var i = 0
+    while (i < a.size) {
+      System.arraycopy(a.values, i * a.width, out, i * w, a.width)
+      if (at(i) >= 0) System.arraycopy(b.values, at(i) * b.width, out, i * w + a.width, b.width)
+      i += 1
     }
+    new Slab(a.ids, w, out)
   }
 
+  /** Right-multiply every row by a local matrix: `out_i = x_i · M`; a row
+    * k times as wide as M has rows is split into k slices, each multiplied.
+    * `M` (at most a few hundred KB) travels in the task closure, so nothing
+    * outlives the call.
+    */
+  def timesLocal(x: Rows, m: Local.Mat): Rows = mapSlabs(x)(Slab.times(_, m))
+
+  /** Every row L2-normalised; zero rows stay zero. */
+  def normalizeRows(x: Rows): Rows = mapSlabs(x)(Slab.normalizeRows)
+
+  /** `f` on every partition's slab, keeping the partitioning. */
+  def mapSlabs(x: Rows)(f: Slab => Slab): Rows =
+    x.mapPartitions(s => Iterator.single(f(s.next())), preservesPartitioning = true)
+
   /** The block as a `Dataset[BRow]`, the interface between pipeline stages. */
-  def toDataset(x: Rows): Dataset[BRow] = {
+  def toDataset(x: RDD[Slab]): Dataset[BRow] = {
     val spark = SparkSession.active
     import spark.implicits._
-    spark.createDataset(x.map { case (id, v) => BRow(id, v) })
+    spark.createDataset(x.flatMap(_.brows))
   }
 }

@@ -19,7 +19,9 @@ import repro.linalg.SparseOp.Rows
   * `B = MᵀV`, whose eigenvectors W rotate V onto the singular vectors
   * `U = V W` and B onto `MᵀU` — the randomized-SVD step "form `B = QᵀA`,
   * take its SVD" (Halko, Martinsson & Tropp, SIAM Review 2011, §5.1). Every
-  * block the loop persists is released before the call returns.
+  * block the loop persists is one [[Slab]] per partition, so the block
+  * store holds and sizes one object per partition; each is released before
+  * the call returns.
   */
 object SubspaceIteration {
 
@@ -75,7 +77,7 @@ object SubspaceIteration {
       val width = beta + math.min(Oversample.toLong, rank - beta).toInt
       // The random start enters as drawn: `X R⁻¹` spans what X spans, so only
       // a call without power steps needs it orthonormalised.
-      var v = m.block(Local.gaussianVec(seed, _, width))
+      var v = m.block(width)(Local.gaussianInto(seed, _, width, _, _))
       if (powerIters == 0) v = orthonormalize(v, "subspace/start")
       var t = 0
       while (t < powerIters) {
@@ -84,13 +86,13 @@ object SubspaceIteration {
       }
       // Rayleigh–Ritz: rotate the converged subspace onto eigenvector axes and
       // drop the guard columns.
-      val y = extra.fold(v)(e => SparseOp.zipRows(v, e(v))(_ ++ _))
+      val y = extra.fold(v)(e => SparseOp.hcat(v, e(v)))
       val p = m.mul(y).persist(SparseOp.Level)
       live = p :: live
-      val (w, lambda) = Local.symEigDesc(Block.labelJobs(sc, "subspace/ritz")(SparseOp.gram(p.mapValues(_.take(width)))))
+      val (w, lambda) = Local.symEigDesc(Block.labelJobs(sc, "subspace/ritz")(SparseOp.gram(p, width)))
       val rot = w.map(_.take(beta))
-      val rotated = p.mapValues(_.grouped(width).flatMap(Local.vecMat(_, rot)).toArray)
-      f(SparseOp.timesLocal(v, rot), rotated, lambda.take(beta).map(x => math.sqrt(math.max(x, 0.0))))
+      val sigma = lambda.take(beta).map(x => math.sqrt(math.max(x, 0.0)))
+      f(SparseOp.timesLocal(v, rot), SparseOp.timesLocal(p, rot), sigma)
     } finally live.foreach(_.unpersist())
   }
 

@@ -1,7 +1,13 @@
 package repro
 
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
+
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{Dataset, SparkSession}
+import repro.linalg.{Block, Slab}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -18,6 +24,42 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   override def afterAll(): Unit = { super.afterAll() }
 
+  /** `body`'s result, with `listener` registered while `body` runs and until
+    * it has been sent every event of the jobs `body` submitted.
+    */
+  def listening[T](listener: SparkListener)(body: => T): T = {
+    val sc = spark.sparkContext
+    val seen = new CountDownLatch(1)
+    // Listeners on one bus get every event in order, one listener after
+    // another: once this one sees the marker job, `listener` has been sent
+    // every event before it.
+    val marker = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (SparkSpec.description(e) == "marker") seen.countDown()
+    }
+    sc.addSparkListener(listener)
+    sc.addSparkListener(marker)
+    try {
+      val out = body
+      Block.labelJobs(sc, "marker")(sc.parallelize(Seq(1)).count())
+      seen.await(30, TimeUnit.SECONDS)
+      out
+    } finally { sc.removeSparkListener(marker); sc.removeSparkListener(listener) }
+  }
+
+  /** The descriptions of the Spark jobs `body` submits, in order. */
+  def jobLabels(body: => Any): Seq[String] = {
+    val labels = new ConcurrentLinkedQueue[String]
+    listening(new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = labels.add(SparkSpec.description(e))
+    })(body)
+    labels.asScala.toSeq.takeWhile(_ != "marker")
+  }
+
+  /** The rows of a slab block by id. */
+  def collectRows(x: RDD[Slab]): Map[Long, Array[Double]] =
+    x.collect().iterator.flatMap(s => Iterator.range(0, s.size).map(i => s.ids(i) -> s.row(i))).toMap
+
   /** The RDDs persisted after `results` are built and counted, and not
     * before, that the lineage of no result reads.
     */
@@ -33,8 +75,13 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
+
+  /** A job's description, `-` if it has none. */
+  def description(e: SparkListenerJobStart): String =
+    Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).getOrElse("-")
+
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",

@@ -60,7 +60,7 @@ class BaselinesSpec extends SparkSpec {
     val edges = (for (i <- 0 until nU; j <- 0 until nV if w(i)(j) > 0)
       yield (i.toLong, j.toLong, w(i)(j))).toDF("u", "v", "w")
     val (u, v) = BipartiteGraph.withOperator(edges) { a =>
-      SpectralBaselines.coEmbedding(a, k, seed = 5)((u, v) => (u.collect().toMap, v.collect().toMap))
+      SpectralBaselines.coEmbedding(a, k, seed = 5)((u, v) => (collectRows(u), collectRows(v)))
     }
     // E = [U; V]/√2 over U ids 0 until nU, then V ids (block ids −1−v).
     val e = Array.tabulate(nU + nV)(i =>
@@ -83,6 +83,22 @@ class BaselinesSpec extends SparkSpec {
       Seq(SpectralBaselines.SC, SpectralBaselines.SCC, SpectralBaselines.SBC,
           RandomWalkEmb.PPR, RandomWalkEmb.NRP, NmfBaseline).map(_.cluster(sp, edges, k, seed = 11)))
     assert(leaked.isEmpty, s"still persisted: ${leaked.mkString(", ")}")
+  }
+
+  // |U| = 3, |V| = 5.
+  private val tiny = Seq((0L, 0L, 1.0), (0L, 1L, 1.0), (1L, 2L, 2.0), (1L, 3L, 1.0), (2L, 4L, 1.0), (2L, 0L, 1.0))
+
+  Seq(SpectralBaselines.SC, SpectralBaselines.SCC, SpectralBaselines.SBC, RandomWalkEmb.PPR, RandomWalkEmb.NRP,
+      NmfBaseline).foreach { m =>
+    test(s"${m.name} rejects k > |U| after the edge check") {
+      import sp.implicits._
+      def message(es: Seq[(Long, Long, Double)]) =
+        intercept[IllegalArgumentException](m.cluster(sp, es.toDF("u", "v", "w"), 4, seed = 1)).getMessage
+      val tooManyK = message(tiny)
+      assert(tooManyK.contains("k = 4") && tooManyK.contains("|U| = 3"), tooManyK)
+      val badEdge = message(tiny :+ ((1L, 1L, -1.0)))
+      assert(badEdge.contains("bad edge (u=1, v=1, w=-1.0)"), badEdge)
+    }
   }
 
   test("registry enumerates 16 methods in table order") {

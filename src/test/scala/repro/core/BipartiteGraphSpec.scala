@@ -75,17 +75,17 @@ class BipartiteGraphSpec extends SparkSpec {
 
   test("Example 2.1: p(u1,v1) = 1/2 and p(v3,u1) = 1/3") {
     val p = BipartiteGraph.pEdges(exampleEdges)
-    val p11 = p.where(col("u") === 0 && col("v") === 0).head.getAs[Double]("p")
+    val p11 = p.where(col("u") === 0 && col("v") === 0).head().getAs[Double]("p")
     assert(math.abs(p11 - 0.5) < 1e-12)
     // p(v3,u1) appears inside Q: Q(3,1) = sqrt(p(v3,u1)·p(u1,v3)) = 1/sqrt(6)
     val q = BipartiteGraph.qEdges(exampleEdges)
-    val q31 = q.where(col("v") === 2 && col("u") === 0).head.getAs[Double]("q")
+    val q31 = q.where(col("v") === 2 && col("u") === 0).head().getAs[Double]("q")
     assert(math.abs(q31 - 1.0 / math.sqrt(6.0)) < 1e-12)
   }
 
   test("Example 2.1: w_V(v1,v3) = 1/sqrt(6)") {
     val wpg = BipartiteGraph.wpgEdges(exampleEdges)
-    val w13 = wpg.where(col("vj") === 0 && col("vl") === 2).head.getAs[Double]("wv")
+    val w13 = wpg.where(col("vj") === 0 && col("vl") === 2).head().getAs[Double]("wv")
     assert(math.abs(w13 - 1.0 / math.sqrt(6.0)) < 1e-12)
   }
 

@@ -188,6 +188,13 @@ class HopePlusSpec extends SparkSpec {
     assert(leaked.isEmpty, s"still persisted: ${leaked.mkString(", ")}")
   }
 
+  test("leftSingular's Spark jobs are labelled with the step that submitted them") {
+    val g = TestGraphs.easy(sp)
+    val x = Hope.embed(g.edges, g.config.k, Hope.Params(powerIters = 2, seed = 3))
+    assert(jobLabels(HopePlus.leftSingular(x, g.config.k)) == Seq("leftSingular/gram", "leftSingular/signs"))
+    Block.release(x)
+  }
+
   test("rounding converges well before the iteration cap on easy input") {
     val g = TestGraphs.easy(sp)
     val x = Hope.embed(g.edges, g.config.k, Hope.Params(powerIters = 8, seed = 3))

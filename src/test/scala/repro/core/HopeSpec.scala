@@ -103,25 +103,10 @@ class HopeSpec extends SparkSpec {
 
   test("embed's Spark jobs are labelled with the step that submitted them") {
     val g = TestGraphs.easy(sp)
-    val sc = sp.sparkContext
-    val labels = new java.util.concurrent.ConcurrentLinkedQueue[String]
-    val listener = new org.apache.spark.scheduler.SparkListener {
-      override def onJobStart(e: org.apache.spark.scheduler.SparkListenerJobStart): Unit =
-        labels.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).getOrElse("-"))
-    }
-    sc.addSparkListener(listener)
-    try {
-      Hope.embed(g.edges, g.config.k, Hope.Params(powerIters = 2, seed = 3))
-      // The listener bus delivers events in order: once the marker job is
-      // seen, so is every job before it.
-      Block.labelJobs(sc, "marker")(sc.parallelize(Seq(1)).count())
-      val deadline = System.nanoTime() + 30L * 1000000000L
-      while (!labels.contains("marker") && System.nanoTime() < deadline) Thread.sleep(20)
-    } finally sc.removeSparkListener(listener)
-    import scala.jdk.CollectionConverters._
+    val labels = jobLabels(Hope.embed(g.edges, g.config.k, Hope.Params(powerIters = 2, seed = 3)))
     // The first `operator/build` is the shuffle stage of the generated edges'
     // own plan, which the operator's build runs; the second is the build.
-    assert(labels.asScala.toSeq.takeWhile(_ != "marker") ==
+    assert(labels ==
       Seq("operator/build", "operator/build", "subspace/step 1", "subspace/step 2", "subspace/ritz", "embed/x"))
   }
 
@@ -138,6 +123,18 @@ class HopeSpec extends SparkSpec {
     assert(tooWide.contains("beta = 10") && tooWide.contains("min(5, 3)"), tooWide) // Q is |V| × |U|
     val badEdge = embed(es :+ ((1L, 1L, -1.0)), 4, 0)
     assert(badEdge.contains("bad edge (u=1, v=1, w=-1.0)"), badEdge)
+  }
+
+  test("clusters a graph whose U ids all fall in one operator partition") {
+    import org.apache.spark.sql.functions.col
+    // U ids that are multiples of the partition count hash to partition 0,
+    // so every other partition of X, and of k-means' input, has no row.
+    val g = TestGraphs.easy(sp)
+    val p = sp.sparkContext.defaultParallelism
+    val assign = Hope.run(g.edges.withColumn("u", col("u") * p), g.config.k, fastParams)
+    TestGraphs.assertValidAssignment(assign, g.config.nU, g.config.k)
+    val s = Metrics.evaluate(assign, g.uLabels.withColumn("id", col("id") * p))
+    assert(s.ari > 0.9, s"scores: $s")
   }
 
   test("is deterministic for a fixed seed") {

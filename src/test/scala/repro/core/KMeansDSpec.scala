@@ -77,10 +77,15 @@ class KMeansDSpec extends SparkSpec {
     // Overlapping blobs (restarts disagree), a bottom-k sample smaller than
     // the input, an iteration cap that stops some restarts early, and 5
     // distinct points for 7 clusters (empty clusters every pass; their
-    // re-seeds land on duplicate points, so they move no assignment).
+    // re-seeds land on duplicate points, so they move no assignment), and
+    // 5 rows in 16 partitions: parallelize puts them in slices 3, 6, 9, 12
+    // and 15, so the first partition and 10 others hold no row.
     val (overlap, _) = blobs(300, 4, 4, sep = 0.15, seed = 11)
     val dup = (0 until 60).map(i => BRow(i.toLong, Array(i % 5 * 1.0, (i % 5) * (i % 5) * 0.5))).toDS()
-    Seq((overlap, 4, 25, 4096), (overlap, 4, 3, 40), (overlap.repartition(7), 5, 25, 60), (dup, 7, 6, 4096))
+    val sparse = sp.createDataset(sp.sparkContext.parallelize((0 until 5).map(i => BRow(i.toLong, Array(i * 1.0, (i % 2) * 3.0))), 16))
+    assert(sparse.rdd.glom().collect().map(_.length).toSeq == Seq(0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1))
+    Seq((overlap, 4, 25, 4096), (overlap, 4, 3, 40), (overlap.repartition(7), 5, 25, 60), (dup, 7, 6, 4096),
+        (sparse, 2, 25, 4096))
       .zipWithIndex.foreach { case ((x, k, iters, sampleSize), n) =>
         val got = KMeansD.run(x, k, maxIters = iters, seed = 13 + n, sampleSize = sampleSize)
           .as[(Long, Int)].collect().toMap

@@ -14,7 +14,7 @@ class BipartiteGenSpec extends SparkSpec {
   private lazy val g = BipartiteGen.planted(sp, cfg)
 
   test("ids stay in range") {
-    val r = g.edges.agg(min("u"), max("u"), min("v"), max("v")).head
+    val r = g.edges.agg(min("u"), max("u"), min("v"), max("v")).head()
     assert(r.getLong(0) >= 0 && r.getLong(1) < cfg.nU)
     assert(r.getLong(2) >= 0 && r.getLong(3) < cfg.nV)
   }
@@ -37,7 +37,7 @@ class BipartiteGenSpec extends SparkSpec {
   }
 
   test("unweighted graphs still aggregate duplicate picks (w ≥ 1)") {
-    val r = g.edges.agg(min("w")).head.getDouble(0)
+    val r = g.edges.agg(min("w")).head().getDouble(0)
     assert(r >= 1.0)
   }
 
@@ -56,7 +56,6 @@ class BipartiteGenSpec extends SparkSpec {
   }
 
   test("different seeds give different graphs") {
-    val a = BipartiteGen.planted(sp, cfg).edges.count()
     val b = BipartiteGen.planted(sp, cfg.copy(seed = 123)).edges
     val aSet = BipartiteGen.planted(sp, cfg).edges.select("u", "v").collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
@@ -87,7 +86,7 @@ class BipartiteGenSpec extends SparkSpec {
     val er = BipartiteGen.erdosRenyi(sp, 100, 80, 1000, seed = 5)
     assert(er.select("u").distinct().count() == 100)
     assert(er.select("v").distinct().count() == 80)
-    val r = er.agg(max("u"), max("v")).head
+    val r = er.agg(max("u"), max("v")).head()
     assert(r.getLong(0) < 100 && r.getLong(1) < 80)
   }
 

@@ -84,15 +84,18 @@ class BlockSpec extends SparkSpec {
     assert(out(1L).sameElements(Array(2.0, 7.0)))
   }
 
+  /** The rows of a one-slab block by id. */
+  private def rowsOf(s: Slab): Map[Long, Array[Double]] = (0 until s.size).map(i => s.ids(i) -> s.row(i)).toMap
+
   test("scaleCols multiplies each column by its factor") {
-    val x = mkDense(Map(0L -> Array(1.0, 2.0, 3.0)))
-    val out = Block.collectMap(Block.scaleCols(x, Array(2.0, 0.5, -1.0)))
+    val x = Slab.of(Iterator(BRow(0L, Array(1.0, 2.0, 3.0))))
+    val out = rowsOf(Slab.scaleCols(x, Array(2.0, 0.5, -1.0)))
     assert(out(0L).sameElements(Array(2.0, 1.0, -3.0)))
   }
 
   test("normalizeRows produces unit rows and keeps zero rows") {
-    val x = mkDense(Map(0L -> Array(3.0, 4.0), 1L -> Array(0.0, 0.0)))
-    val out = Block.collectMap(Block.normalizeRows(x))
+    val x = Slab.of(Iterator(BRow(0L, Array(3.0, 4.0)), BRow(1L, Array(0.0, 0.0))))
+    val out = rowsOf(Slab.normalizeRows(x))
     assert(math.abs(Local.l2(out(0L)) - 1.0) < 1e-12)
     assert(out(1L).sameElements(Array(0.0, 0.0)))
   }

@@ -58,7 +58,7 @@ class SparseOpSpec extends SparkSpec {
       assert(math.abs(got(id)(j) - v(j)) < 1e-10, s"row $id, column $j")
   }
 
-  private def collect(x: Rows): Map[Long, Array[Double]] = x.collect().toMap
+  private def collect(x: Rows): Map[Long, Array[Double]] = collectRows(x)
 
   /** The views checked against local products: `(a, b, transposed)` for
     * `D_r^a · M · D_c^b`, transposed or not.
@@ -122,8 +122,8 @@ class SparseOpSpec extends SparkSpec {
   test("block: one row per view row id from (seed, id); unit-norm Rademacher") {
     val (es, _) = input(15)
     val op = mkOp(es)
-    val rows = op.block(Local.rademacherVec(3, _, 16))
-    val cols = op.t.block(Local.rademacherVec(3, _, 16))
+    val rows = op.block(16)(Local.rademacherInto(3, _, 16, _, _))
+    val cols = op.t.block(16)(Local.rademacherInto(3, _, 16, _, _))
     assert(rows.partitioner.contains(op.partitioner) && cols.partitioner.contains(op.partitioner))
     assert(collect(rows).keySet == es.map(_._1).toSet)
     assert(collect(cols).keySet == es.map(_._2).toSet)
@@ -141,7 +141,8 @@ class SparseOpSpec extends SparkSpec {
     assert(op.partitioner.numPartitions == sp.sparkContext.defaultParallelism)
     assert(out.partitioner.contains(op.partitioner))
     out.glom().collect().foreach { part =>
-      val ids = part.map(_._1)
+      assert(part.length == 1)
+      val ids = part.head.ids
       assert(ids.sameElements(ids.sorted) && ids.distinct.length == ids.length)
     }
     // Shuffles between the product's inputs (the CSR copy and the dense
@@ -253,7 +254,7 @@ class SparseOpSpec extends SparkSpec {
     val op = mkOp(es)
     val stored = op.rows.dependencies.head.rdd
     assert(op.cols.dependencies.head.rdd eq stored)
-    assert(sc.getPersistentRDDs.keySet -- before == Set(stored.id))
+    assert(sc.getPersistentRDDs.keySet.toSet -- before == Set(stored.id))
     def shuffles(rdd: RDD[_]): Int = rdd.dependencies.map { d =>
       (d match { case _: ShuffleDependency[_, _, _] => 1; case _ => 0 }) + shuffles(d.rdd)
     }.sum
@@ -274,15 +275,15 @@ class SparseOpSpec extends SparkSpec {
       for (i <- x.indices if x(i) != 0.0; j <- x.indices) acc(i * x.length + j) += x(i) * x(j)
     for (width <- Seq(1, 4, 9)) {
       // About a third of the entries are zero; odd partitions are empty.
-      val x = op.block { id =>
+      val x = op.block(width) { (id, out, off) =>
         val r = new Random(id * 31 + width)
-        Array.fill(width)(if (r.nextInt(3) == 0) 0.0 else r.nextGaussian() * 1e3)
+        for (j <- 0 until width) out(off + j) = if (r.nextInt(3) == 0) 0.0 else r.nextGaussian() * 1e3
       }
-      val parts = x.glom().collect()
-      assert(parts.exists(_.isEmpty) && parts.exists(_.exists(_._2.contains(0.0))))
-      val want = Block.unflatten(parts.filter(_.nonEmpty).map { part =>
+      val parts = x.collect()
+      assert(parts.exists(_.size == 0) && parts.exists(_.values.contains(0.0)))
+      val want = Block.unflatten(parts.filter(_.size > 0).map { part =>
         val acc = new Array[Double](width * width)
-        part.foreach(r => outerInto(acc, r._2))
+        (0 until part.size).foreach(i => outerInto(acc, part.row(i)))
         acc
       }.reduceLeft(Local.addInPlace), width)
       def bits(m: Local.Mat) = m.flatten.map(java.lang.Double.doubleToRawLongBits).toSeq

@@ -151,7 +151,7 @@ class SubspaceIterationSpec extends SparkSpec {
       }
     for (extra <- Seq(None, Some(m.degreeScale(_: SparseOp.Rows, 1.0)))) {
       val (u, p, sigma) = SubspaceIteration.topLeftSingular(m, beta, 20, 5, extra) { (u, p, s) =>
-        (u.collect().toMap, p.collect().toMap, s)
+        (collectRows(u), collectRows(p), s)
       }
       val want = mt(u, _ => 1.0)
       val wantExtra = mt(u, d)
