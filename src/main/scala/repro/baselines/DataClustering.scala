@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.KMeansD
-import repro.linalg.{Block, Local}
+import repro.linalg.{Block, Local, SparseOp}
 import scala.collection.mutable.ArrayBuffer
 
 /** Data-clustering baselines applied to the biadjacency rows of U:
@@ -19,8 +19,8 @@ object DataClustering {
     override def feasible(paperEdges: Long, k: Int): Boolean = paperEdges <= 4000000L // paper: "-" on MIND and larger
 
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-      val rows = Projections.uRows(edges, SketchDim, seed)
-      try KMeansD.run(rows, k, seed = seed) finally Block.release(rows)
+      val rows = Projections.uRows(edges, k, SketchDim, seed)
+      try KMeansD.run(rows, k, seed = seed) finally rows.unpersist()
     }
   }
 
@@ -34,7 +34,9 @@ object DataClustering {
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
       val spark2 = spark
       import spark2.implicits._
-      val rows = Projections.uRows(edges, SketchDim, seed)
+      val block = Projections.uRows(edges, k, SketchDim, seed)
+      // A Dataset, so that the sample is `Dataset.sample`'s.
+      val rows = SparseOp.toDataset(block)
       val n = rows.count()
       val sampleSize = math.min(n, math.max(2000L, 20L * k)).toInt
       val frac = math.min(1.0, sampleSize * 2.0 / n)
@@ -67,7 +69,7 @@ object DataClustering {
         }
         (r.id, best)
       }.toDF("id", "cluster").transform(Block.localize)
-      Block.release(rows)
+      block.unpersist()
       out
     }
   }
@@ -83,16 +85,18 @@ object DataClustering {
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
       val spark2 = spark
       import spark2.implicits._
-      val rows = Projections.uRows(edges, SketchDim, seed)
-      val collected = rows.collect() // feasibility cap keeps this small
+      val rows = Projections.uRows(edges, k, SketchDim, seed)
+      val slabs = try rows.collect() finally rows.unpersist() // feasibility cap keeps this small
+      val ids = slabs.flatMap(_.ids)
+      val vecs = slabs.flatMap(s => Array.tabulate(s.size)(s.row))
       val threshold = 0.35 // radius in L2-normalised sketch space
 
       val centroids = ArrayBuffer.empty[Array[Double]] // running means
       val counts = ArrayBuffer.empty[Long]
-      val cfOf = new Array[Int](collected.length)
+      val cfOf = new Array[Int](vecs.length)
       var i = 0
-      while (i < collected.length) {
-        val v = collected(i).vec
+      while (i < vecs.length) {
+        val v = vecs(i)
         var best = -1; var bd = Double.MaxValue
         var c = 0
         while (c < centroids.length) {
@@ -142,9 +146,7 @@ object DataClustering {
         }
         it += 1
       }
-      val out = collected.indices.map(i => (collected(i).id, cfCluster(cfOf(i))))
-      Block.release(rows)
-      out.toDF("id", "cluster")
+      ids.indices.map(i => (ids(i), cfCluster(cfOf(i)))).toDF("id", "cluster")
     }
   }
 }

@@ -1,8 +1,9 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.DataFrame
 import repro.core.BipartiteGraph
-import repro.linalg.{BRow, Block, Local, SparseOp}
+import repro.linalg.{Local, SparseOp}
+import repro.linalg.SparseOp.Rows
 
 /** Johnson–Lindenstrauss sketches of biadjacency rows.
   *
@@ -14,15 +15,18 @@ import repro.linalg.{BRow, Block, Local, SparseOp}
   */
 object Projections {
 
-  /** Project U-side rows of the (optionally row-normalised) biadjacency: one
-    * product with the graph's operator, whose column copy also supplies R's
-    * row ids. The rows are materialised (a [[Block.localize]]d Dataset)
-    * before the operator is released; the caller [[Block.release]]s them.
+  /** Project the L2-normalised U-side rows of the biadjacency: one product
+    * with the graph's operator, whose column copy also supplies R's row
+    * ids. The rows are materialised ([[SparseOp.materialize]]) before the
+    * operator is released; the caller unpersists them.
+    *
+    * @throws IllegalArgumentException if an edge is bad (see
+    *         [[BipartiteGraph.operator]]) or k > |U|
     */
-  def uRows(edges: DataFrame, dim: Int, seed: Long,
-            rowNormalize: Boolean = true): Dataset[BRow] =
+  def uRows(edges: DataFrame, k: Int, dim: Int, seed: Long): Rows =
     BipartiteGraph.withOperator(edges) { a =>
+      BipartiteGraph.requireClusters(a, k)
       val proj = a.mulT(a.t.block(dim)(Local.rademacherInto(seed, _, dim, _, _)))
-      Block.localize(SparseOp.toDataset(if (rowNormalize) SparseOp.normalizeRows(proj) else proj))
+      SparseOp.materialize(SparseOp.normalizeRows(proj))
     }
 }

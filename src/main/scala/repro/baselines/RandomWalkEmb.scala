@@ -72,8 +72,7 @@ object RandomWalkEmb {
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
       BipartiteGraph.withOperator(edges) { a =>
         BipartiteGraph.requireClusters(a, k)
-        val sketch = SparseOp.normalizeRows(pprSketch(a, seed, uPow = -1.0))
-        KMeansD.run(SparseOp.toDataset(sketch), k, seed = seed)
+        KMeansD.run(SparseOp.normalizeRows(pprSketch(a, seed, uPow = -1.0)), k, seed = seed)
       }
   }
 
@@ -87,7 +86,7 @@ object RandomWalkEmb {
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
       BipartiteGraph.withOperator(edges) { a =>
         BipartiteGraph.requireClusters(a, k)
-        KMeansD.run(SparseOp.toDataset(pprSketch(a, seed, uPow = -0.5)), k, seed = seed)
+        KMeansD.run(pprSketch(a, seed, uPow = -0.5), k, seed = seed)
       }
   }
 }

@@ -48,7 +48,7 @@ object SpectralBaselines {
           val w = math.max(0, s.width - drop) // a slab without rows may have width 0
           Slab.normalizeRows(s.mapRows(w)((x, o, out, p) => System.arraycopy(x, o + drop, out, p, w)))
         }
-        KMeansD.run(SparseOp.toDataset(joint), k, seed = seed).where(col("id") >= 0)
+        KMeansD.run(joint, k, seed = seed).where(col("id") >= 0)
       }
     }
 
@@ -94,7 +94,7 @@ object SpectralBaselines {
       BipartiteGraph.withOperator(edges) { a =>
         BipartiteGraph.requireClusters(a, k)
         SubspaceIteration.topLeftSingular(a.scaled(-1.0, -1.0), k, PowerIters, seed) { (u, _, _) =>
-          KMeansD.run(SparseOp.toDataset(SparseOp.normalizeRows(u)), k, seed = seed)
+          KMeansD.run(SparseOp.normalizeRows(u), k, seed = seed)
         }
       }
   }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.linalg.{BRow, Block, SparseOp, SubspaceIteration}
+import repro.linalg.SparseOp.Rows
 
 /** HOPE (paper §3, Algorithm 1), on one operator of the biadjacency A.
   *
@@ -30,17 +31,16 @@ object Hope {
   }
 
   /** The low-rank HOP approximation X (Lines 1–4 of Algorithm 1), shared by
-    * HOPE and HOPE+. Rows are keyed by U-side vertex id and L2-normalised.
+    * HOPE and HOPE+, from the operator `a` of the graph's biadjacency (see
+    * [[BipartiteGraph.withOperator]]). Rows are keyed by U-side vertex id
+    * and L2-normalised, co-partitioned with `a`. The block is materialised
+    * ([[SparseOp.materialize]], the `embed/x` job), so it outlives `a`; the
+    * caller unpersists it.
     *
-    * @throws IllegalArgumentException if an edge is bad (see
-    *         [[BipartiteGraph.operator]]), if k > |U|, or if β exceeds
+    * @throws IllegalArgumentException if k > |U|, or if β exceeds
     *         min(|U|, |V|) (see [[SubspaceIteration.topLeftSingular]])
     */
-  def embed(edges: DataFrame, k: Int, params: Params): Dataset[BRow] =
-    BipartiteGraph.withOperator(edges)(embed(_, k, params))
-
-  /** [[embed]] on the operator `a` of the graph's biadjacency. */
-  private[core] def embed(a: SparseOp, k: Int, params: Params): Dataset[BRow] = {
+  def embed(a: SparseOp, k: Int, params: Params): Rows = {
     BipartiteGraph.requireClusters(a, k)
     val q = a.scaled(-0.5, -0.5).t
     val beta = params.betaFor(k)
@@ -56,15 +56,22 @@ object Hope {
         var j = 0
         while (j < beta) { out(q + j) = r(o + beta + j) * factors(j); j += 1 }
       })
-      Block.labelJobs(p.sparkContext, "embed/x") {
-        Block.localize(SparseOp.toDataset(SparseOp.normalizeRows(xHat)))
-      }
+      Block.labelJobs(p.sparkContext, "embed/x")(SparseOp.materialize(SparseOp.normalizeRows(xHat)))
     }
   }
 
+  /** [[embed]] of the graph with edges `edges`, as a Dataset over the
+    * materialised block: the benchmark's signature.
+    *
+    * @throws IllegalArgumentException also if an edge is bad (see
+    *         [[BipartiteGraph.operator]])
+    */
+  def embed(edges: DataFrame, k: Int, params: Params): Dataset[BRow] =
+    BipartiteGraph.withOperator(edges)(a => SparseOp.toDataset(embed(a, k, params)))
+
   /** Full HOPE: returns cluster assignments `(id, cluster)` for the U side. */
   def run(edges: DataFrame, k: Int, params: Params = Params()): DataFrame = {
-    val x = embed(edges, k, params)
-    KMeansD.run(x, k, maxIters = params.kMeansIters, seed = params.seed)
+    val x = BipartiteGraph.withOperator(edges)(embed(_, k, params))
+    try KMeansD.run(x, k, maxIters = params.kMeansIters, seed = params.seed) finally x.unpersist()
   }
 }

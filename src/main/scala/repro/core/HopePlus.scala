@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.linalg.{BRow, Block, Local, Slab, SparseOp}
 
 /** HOPE+ (paper §4, Algorithms 2 and 3).
@@ -49,13 +49,13 @@ object HopePlus {
     * into one cluster.
     *
     * Two Spark jobs: `leftSingular/gram` for `XᵀX` and `leftSingular/signs`
-    * for each column's extreme entry of `X W_k diag(1/s)`. The result is
-    * lazy; callers materialise it (e.g. with [[Block.localize]]).
+    * for each column's extreme entry of `X W_k diag(1/s)`, each reading `x`.
+    * The result keeps `x`'s partitions and is lazy; callers materialise it
+    * (e.g. with [[SparseOp.materialize]]).
     */
-  def leftSingular(x: Dataset[BRow], k: Int): Dataset[BRow] = {
-    val sc = x.sparkSession.sparkContext
-    val slabs = x.rdd.mapPartitions(it => Iterator.single(Slab.of(it)))
-    val g = Block.labelJobs(sc, "leftSingular/gram")(SparseOp.gram(slabs))
+  def leftSingular(x: RDD[Slab], k: Int): RDD[Slab] = {
+    val sc = x.sparkContext
+    val g = Block.labelJobs(sc, "leftSingular/gram")(SparseOp.gram(x))
     val (w, lam) = Local.symEigDesc(g)
     val rot = Local.zeros(g.length, k)
     var j = 0
@@ -65,7 +65,7 @@ object HopePlus {
       while (i < g.length) { rot(i)(j) = w(i)(j) / s; i += 1 }
       j += 1
     }
-    val l = slabs.map(Slab.times(_, rot))
+    val l = SparseOp.mapSlabs(x)(Slab.times(_, rot))
     val extremes = Block.labelJobs(sc, "leftSingular/signs") {
       l.map { s =>
         val acc = new Array[Double](k)
@@ -80,28 +80,37 @@ object HopePlus {
       }
     }
     val signs = extremes.map(v => if (v < 0) -1.0 else 1.0)
-    SparseOp.toDataset(l.map(s => Slab.scaleCols(s, signs)))
+    SparseOp.mapSlabs(l)(Slab.scaleCols(_, signs))
   }
+
+  /** [[leftSingular]] of a Dataset's rows, as a lazy Dataset: the benchmark's signature. */
+  def leftSingular(x: Dataset[BRow], k: Int): Dataset[BRow] =
+    SparseOp.toDataset(leftSingular(Block.slabs(x), k))
 
   /** Rounding (Algorithm 3): alternate T and C updates until C is unchanged
     * or `maxRounds` iterations. Returns assignments `(id, cluster)`.
     */
-  def round(l: Dataset[BRow], k: Int, urt: Urt, maxRounds: Int): DataFrame =
+  def round(l: RDD[Slab], k: Int, urt: Urt, maxRounds: Int): DataFrame =
     rounding(l, k, urt, maxRounds)._1
+
+  /** [[round]] on a Dataset's rows: the benchmark's signature. */
+  def round(l: Dataset[BRow], k: Int, urt: Urt, maxRounds: Int): DataFrame =
+    round(Block.slabs(l), k, urt, maxRounds)
 
   /** [[round]], and the number of rounds it ran.
     *
     * Round t is one pass over L: it assigns every row to its argmax under
     * `T_t`, which gives `C_t`; counts the rows whose argmax under `T_{t−1}`
     * differs (the convergence test); and adds up `Lᵀ C_t`, which gives
-    * `T_{t+1}`. The greedy seeding is the pass under `T_0 = I`.
+    * `T_{t+1}`. The greedy seeding is the pass under `T_0 = I`. `l` is read
+    * through a view this call persists and releases.
     */
-  private[core] def rounding(l: Dataset[BRow], k: Int, urt: Urt, maxRounds: Int): (DataFrame, Int) = {
-    val spark = l.sparkSession
+  private[core] def rounding(l: RDD[Slab], k: Int, urt: Urt, maxRounds: Int): (DataFrame, Int) = {
+    val spark = SparkSession.active
     import spark.implicits._
-    val sc = spark.sparkContext
+    val sc = l.sparkContext
     val label = s"round.${urt.name.toLowerCase}"
-    val rows = l.rdd.mapPartitions(it => Iterator.single(Slab.of(it))).persist(SparseOp.Level)
+    val rows = SparseOp.mapSlabs(l)(identity).persist(SparseOp.Level)
     try {
       // Greedy seeding (Lines 6–10, Alg. 2): argmax over L itself, i.e. T = I.
       var t = Local.eye(k)
@@ -229,19 +238,9 @@ object HopePlus {
 
   /** Full HOPE+ for one rounding scheme. */
   def run(edges: DataFrame, k: Int, urt: Urt, params: Params = Params()): DataFrame = {
-    val x = Hope.embed(edges, k,
-      Hope.Params(alpha = params.alpha, beta = params.beta,
-                  powerIters = params.powerIters, seed = params.seed))
-    val l = leftSingular(x, k).transform(repro.linalg.Block.localize)
-    round(l, k, urt, params.maxRounds)
-  }
-
-  /** Run both variants sharing one embedding/eigen stage (bench helper). */
-  def runBoth(edges: DataFrame, k: Int, params: Params = Params()): (DataFrame, DataFrame) = {
-    val x = Hope.embed(edges, k,
-      Hope.Params(alpha = params.alpha, beta = params.beta,
-                  powerIters = params.powerIters, seed = params.seed))
-    val l = leftSingular(x, k).transform(repro.linalg.Block.localize)
-    (round(l, k, Fnem, params.maxRounds), round(l, k, Snem, params.maxRounds))
+    val x = BipartiteGraph.withOperator(edges)(Hope.embed(_, k,
+      Hope.Params(alpha = params.alpha, beta = params.beta, powerIters = params.powerIters, seed = params.seed)))
+    val l = try SparseOp.materialize(leftSingular(x, k)) finally x.unpersist()
+    try round(l, k, urt, params.maxRounds) finally l.unpersist()
   }
 }

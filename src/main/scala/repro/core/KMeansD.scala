@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.linalg.{BRow, Block, Local, Slab, SparseOp}
 
 /** Distributed Lloyd k-Means over dense row-blocks, with k-means++ seeding on
@@ -21,29 +21,36 @@ import repro.linalg.{BRow, Block, Local, Slab, SparseOp}
   */
 object KMeansD {
 
-  /** Cluster rows of `x` into k groups; returns `(id, cluster)`.
+  /** Lloyd runs per call, each from its own k-means++ seed (see [[run]]). */
+  private val Restarts = 3
+
+  /** A restart stops once no centre moves by more than this (squared). */
+  private val Tol = 1e-6
+
+  /** Cluster the rows of the block `x` into k groups; returns `(id, cluster)`.
     *
-    * Lloyd is restarted `restarts` times from different k-means++ seeds and
+    * Lloyd is restarted [[Restarts]] times from different k-means++ seeds and
     * the solution with the lowest within-cluster sum of squares wins — the
     * standard guard against k-means' local optima (the paper's §4 motivates
     * HOPE+ with exactly this failure mode of HOPE).
     *
     * The seeding sample is the `max(k, sampleSize)` rows with the smallest
     * `Local.mix(seed ^ id)`, in id order: a pure function of the seed and
-    * the row ids, whatever the partitioning of `x`.
+    * the row ids, whatever the partitioning of `x`. `x` is read through a
+    * view this call persists and releases; the caller's block is left as it
+    * was.
     */
-  def run(x: Dataset[BRow], k: Int, maxIters: Int = 25, seed: Long = 7L,
-          sampleSize: Int = 4096, tol: Double = 1e-6, restarts: Int = 3): DataFrame = {
-    val spark = x.sparkSession
+  def run(x: RDD[Slab], k: Int, maxIters: Int = 25, seed: Long = 7L, sampleSize: Int = 4096): DataFrame = {
+    val spark = SparkSession.active
     import spark.implicits._
-    val sc = spark.sparkContext
-    val rows = x.rdd.mapPartitions(it => Iterator.single(Slab.of(it))).persist(SparseOp.Level)
+    val sc = x.sparkContext
+    val rows = SparseOp.mapSlabs(x)(identity).persist(SparseOp.Level)
     try {
       val (n, sample) = Block.labelJobs(sc, "kmeans/sample")(countAndSample(rows, seed, math.max(k, sampleSize)))
       require(n >= k, s"cannot make $k clusters from $n rows")
       val dim = sample.head.length
 
-      val seeds = Array.tabulate(math.max(1, restarts))(r => seed + 1000L * r)
+      val seeds = Array.tabulate(Restarts)(r => seed + 1000L * r)
       val centers = seeds.map(plusPlusSeed(sample, k, _))
       val shift = Array.fill(seeds.length)(Double.MaxValue)
       var iter = 0
@@ -69,7 +76,7 @@ object KMeansD {
           shift(r) = centers(r).zip(next).map { case (a, b) => Local.sqDist(a, b) }.max
           centers(r) = next
         }
-        live = live.filter(shift(_) > tol)
+        live = live.filter(shift(_) > Tol)
         iter += 1
       }
 
@@ -91,6 +98,10 @@ object KMeansD {
       }
     } finally rows.unpersist()
   }
+
+  /** [[run]] on a Dataset's rows, one slab per partition: the benchmark's signature. */
+  def run(x: Dataset[BRow], k: Int, maxIters: Int, seed: Long): DataFrame =
+    run(Block.slabs(x), k, maxIters, seed)
 
   /** The number of rows and the seeding sample: the `m` rows with the
     * smallest `(Local.mix(seed ^ id), id)`, ordered by id. Each partition

@@ -20,7 +20,8 @@ import org.apache.spark.sql.types._
   *
   * Min-degree ≥ 1 on both sides is guaranteed by a deterministic backbone of
   * one edge per U vertex and per V vertex. Everything is a pure function of
-  * (config, seed): re-running yields the identical graph.
+  * (config, seed), whatever the number of cores: re-running yields the
+  * identical graph.
   */
 object BipartiteGen {
 
@@ -40,6 +41,17 @@ object BipartiteGen {
 
   final case class Graph(edges: DataFrame, uLabels: DataFrame, config: Config)
 
+  /** Partitions of every id range. `rand(s)` seeds partition i with
+    * `s + i`, so the graph depends on the config alone only if this count
+    * does not follow the core count, as `spark.range`'s default does. 4 is
+    * that default on 4 cores, where the graphs of the benchmark and the
+    * tests were measured.
+    */
+  private val RangePartitions = 4
+
+  /** `spark.range(n)` under [[RangePartitions]] partitions. */
+  private def range(spark: SparkSession, n: Long) = spark.range(0L, n, 1L, RangePartitions)
+
   /** Cluster label of U vertex `u` as a SQL expression: contiguous ranges with
     * power-law sizes (`sizeSkew` = 1 → equal sizes, > 1 → skewed).
     */
@@ -54,7 +66,7 @@ object BipartiteGen {
     val s = cfg.seed
 
     // Random edges: pick u with power-law mass toward low ids, then route.
-    val raw = spark.range(cfg.targetEdges).select(
+    val raw = range(spark, cfg.targetEdges).select(
       least(lit(cfg.nU - 1),
         floor(pow(rand(s), cfg.degSkew) * cfg.nU)).cast(LongType).as("u"),
       rand(s + 1).as("rHub"),
@@ -78,7 +90,7 @@ object BipartiteGen {
 
     // Backbone: every u gets one in-block edge; every v gets one edge from a
     // vertex of its block's cluster (hubs from cluster 0) — min-degree ≥ 1.
-    val uBackbone = spark.range(cfg.nU).toDF("u")
+    val uBackbone = range(spark, cfg.nU).toDF("u")
       .withColumn("lab", labelExpr(cfg, "u"))
       .select(col("u"),
         least(lit(cfg.nV - 1),
@@ -91,7 +103,7 @@ object BipartiteGen {
     // ceil(nU * (c/k)^(1/sizeSkew)); place v's backbone edge inside its range.
     val loOf = (c: org.apache.spark.sql.Column) =>
       ceil(pow(c.cast("double") / cfg.k, 1.0 / cfg.sizeSkew) * cfg.nU).cast(LongType)
-    val vBackbone = spark.range(cfg.nV).toDF("v")
+    val vBackbone = range(spark, cfg.nV).toDF("v")
       .withColumn("lab", vLab)
       .withColumn("lo", loOf(col("lab")))
       .withColumn("hi", least(lit(cfg.nU), loOf(col("lab") + 1)))
@@ -104,7 +116,7 @@ object BipartiteGen {
     // Unweighted graphs: duplicate picks collapse to a single unit edge.
     val edges = if (cfg.weighted) merged else merged.withColumn("w", lit(1.0))
 
-    val uLabels = spark.range(cfg.nU).toDF("id")
+    val uLabels = range(spark, cfg.nU).toDF("id")
       .select(col("id"), labelExpr(cfg, "id").as("label"))
     Graph(edges, uLabels, cfg)
   }
@@ -114,13 +126,13 @@ object BipartiteGen {
     */
   def erdosRenyi(spark: SparkSession, nU: Long, nV: Long,
                  targetEdges: Long, seed: Long = 42L): DataFrame = {
-    val raw = spark.range(targetEdges).select(
+    val raw = range(spark, targetEdges).select(
       (rand(seed) * nU).cast(LongType).as("u"),
       (rand(seed + 1) * nV).cast(LongType).as("v"),
       lit(1.0).as("w"))
-    val uB = spark.range(nU).select(col("id").as("u"),
+    val uB = range(spark, nU).select(col("id").as("u"),
       pmod(col("id"), lit(nV)).as("v"), lit(1.0).as("w"))
-    val vB = spark.range(nV).select(pmod(col("id"), lit(nU)).as("u"),
+    val vB = range(spark, nV).select(pmod(col("id"), lit(nU)).as("u"),
       col("id").as("v"), lit(1.0).as("w"))
     raw.unionByName(uB).unionByName(vB).groupBy("u", "v").agg(sum("w").as("w"))
   }

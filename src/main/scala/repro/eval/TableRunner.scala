@@ -2,7 +2,8 @@ package repro.eval
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{Baseline, Registry}
-import repro.core.{Hope, HopePlus, KMeansD, Metrics}
+import repro.core.{BipartiteGraph, Hope, HopePlus, KMeansD, Metrics}
+import repro.linalg.SparseOp
 import repro.data.Catalog
 
 /** Shared harness that reruns the paper's quality tables: generates each
@@ -85,28 +86,29 @@ object TableRunner {
                       k: Int, seed: Long): Seq[(String, org.apache.spark.sql.DataFrame, Double)] = {
     val beta = math.min(5 * k, math.max(k + 2, BetaCap))
     val t0 = System.nanoTime()
-    val x = Hope.embed(edges, k,
-      Hope.Params(beta = beta, powerIters = BenchPowerIters, seed = seed)).cache()
-    x.count()
+    val x = BipartiteGraph.withOperator(edges)(Hope.embed(_, k,
+      Hope.Params(beta = beta, powerIters = BenchPowerIters, seed = seed)))
     val tEmbed = (System.nanoTime() - t0) / 1e9
+    try {
+      val t1 = System.nanoTime()
+      val hopeAssign = KMeansD.run(x, k, maxIters = 25, seed = seed)
+      val tHope = tEmbed + (System.nanoTime() - t1) / 1e9
 
-    val t1 = System.nanoTime()
-    val hopeAssign = KMeansD.run(x, k, maxIters = 25, seed = seed)
-    val tHope = tEmbed + (System.nanoTime() - t1) / 1e9
-
-    val t2 = System.nanoTime()
-    val l = HopePlus.leftSingular(x, k).transform(repro.linalg.Block.localize)
-    val tEig = (System.nanoTime() - t2) / 1e9
-    val t3 = System.nanoTime()
-    val fnem = HopePlus.round(l, k, HopePlus.Fnem, maxRounds = 30)
-    val tFnem = tEmbed + tEig + (System.nanoTime() - t3) / 1e9
-    val t4 = System.nanoTime()
-    val snem = HopePlus.round(l, k, HopePlus.Snem, maxRounds = 30)
-    val tSnem = tEmbed + tEig + (System.nanoTime() - t4) / 1e9
-    x.unpersist()
-    Seq(("HOPE", hopeAssign, tHope),
-        ("HOPE+ (FNEM)", fnem, tFnem),
-        ("HOPE+ (SNEM)", snem, tSnem))
+      val t2 = System.nanoTime()
+      val l = SparseOp.materialize(HopePlus.leftSingular(x, k))
+      val tEig = (System.nanoTime() - t2) / 1e9
+      try {
+        val t3 = System.nanoTime()
+        val fnem = HopePlus.round(l, k, HopePlus.Fnem, maxRounds = 30)
+        val tFnem = tEmbed + tEig + (System.nanoTime() - t3) / 1e9
+        val t4 = System.nanoTime()
+        val snem = HopePlus.round(l, k, HopePlus.Snem, maxRounds = 30)
+        val tSnem = tEmbed + tEig + (System.nanoTime() - t4) / 1e9
+        Seq(("HOPE", hopeAssign, tHope),
+            ("HOPE+ (FNEM)", fnem, tFnem),
+            ("HOPE+ (SNEM)", snem, tSnem))
+      } finally l.unpersist()
+    } finally x.unpersist()
   }
 
   /** Run `methods` over `specs`; one deterministic seed per (method, dataset).

@@ -10,13 +10,14 @@ import org.apache.spark.sql.functions._
 /** A row of a distributed dense row-block matrix: vertex id → length-β vector. */
 final case class BRow(id: Long, vec: Array[Double])
 
-/** Distributed dense-block kernels over DataFrames/Datasets.
-  *
-  * Sparse matrices are edge DataFrames `(src, dst, w)`; dense factors are
-  * `Dataset[BRow]` with β ≪ |V| columns. All kernels are deterministic given
-  * their seeds and their input's partitioning: reductions add per-partition
-  * partials in partition order, so every run of a pipeline reproduces
-  * bit-identical results.
+/** The Dataset side. Pipeline stages hand each other slab blocks
+  * (`RDD[Slab]`); a `Dataset[BRow]` appears only at the Dataset signatures
+  * the benchmark compiles against, which convert once ([[slabs]],
+  * [[SparseOp.toDataset]]), and in the kernels here that only the
+  * benchmark's probes and the tests call (`spmm`, `gram`, `timesLocal`,
+  * `gaussianBlock`, `orthonormalize`). [[localize]] and [[release]] serve
+  * assignments. Reductions add per-partition partials in partition order,
+  * so every run of a pipeline reproduces bit-identical results.
   */
 object Block {
 
@@ -82,12 +83,14 @@ object Block {
   def sumInOrder(parts: Array[Array[Double]]): Array[Double] =
     parts.reduceLeft(Local.addInPlace)
 
-  /** Gram matrix `XᵀX` collected to the driver (β×β). */
-  def gram(x: Dataset[BRow]): Local.Mat = {
-    val spark = x.sparkSession
-    import spark.implicits._
-    symGram(x.mapPartitions(it => upperGram(Slab.of(it), -1)).collect())
-  }
+  /** Gram matrix `XᵀX` collected to the driver (β×β): [[SparseOp.gram]]. */
+  def gram(x: Dataset[BRow]): Local.Mat = SparseOp.gram(slabs(x))
+
+  /** One slab per partition of `x`, with that partition's rows in their
+    * order: not co-partitioned with any operator, so for the kernels that
+    * need no partitioner (k-means, `leftSingular`, the rounding, the Gram).
+    */
+  def slabs(x: Dataset[BRow]): RDD[Slab] = x.rdd.mapPartitions(it => Iterator.single(Slab.of(it)))
 
   /** Right-multiply every row by a local matrix: `out_i = x_i · M`. `M`
     * (at most a few hundred KB) travels in the task closure, so nothing

@@ -516,7 +516,16 @@ object SparseOp {
   def mapSlabs(x: Rows)(f: Slab => Slab): Rows =
     x.mapPartitions(s => Iterator.single(f(s.next())), preservesPartitioning = true)
 
-  /** The block as a `Dataset[BRow]`, the interface between pipeline stages. */
+  /** `x` as a local checkpoint, filled by one job (a `count`): how a stage
+    * hands a block on. The owner releases it with `unpersist()`.
+    */
+  def materialize(x: RDD[Slab]): RDD[Slab] = {
+    x.localCheckpoint()
+    x.count()
+    x
+  }
+
+  /** The block's rows as a `Dataset[BRow]`, for the benchmark's signatures. */
   def toDataset(x: RDD[Slab]): Dataset[BRow] = {
     val spark = SparkSession.active
     import spark.implicits._

@@ -110,9 +110,7 @@ object SubspaceIteration {
                       seed: Long): (Dataset[BRow], Array[Double]) = {
     val m = SparseOp(edges, rowCol, colCol, wCol)
     try topLeftSingular(m, beta, powerIters, seed) { (vecs, _, sigma) =>
-      val kept = vecs.localCheckpoint()
-      kept.count()
-      (SparseOp.toDataset(kept), sigma)
+      (SparseOp.toDataset(SparseOp.materialize(vecs)), sigma)
     } finally m.unpersist()
   }
 }

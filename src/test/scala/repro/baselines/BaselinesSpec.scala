@@ -89,7 +89,8 @@ class BaselinesSpec extends SparkSpec {
   private val tiny = Seq((0L, 0L, 1.0), (0L, 1L, 1.0), (1L, 2L, 2.0), (1L, 3L, 1.0), (2L, 4L, 1.0), (2L, 0L, 1.0))
 
   Seq(SpectralBaselines.SC, SpectralBaselines.SCC, SpectralBaselines.SBC, RandomWalkEmb.PPR, RandomWalkEmb.NRP,
-      NmfBaseline).foreach { m =>
+      NmfBaseline, DataClustering.KMeansBaseline, DataClustering.KMedoidsBaseline,
+      DataClustering.BirchBaseline).foreach { m =>
     test(s"${m.name} rejects k > |U| after the edge check") {
       import sp.implicits._
       def message(es: Seq[(Long, Long, Double)]) =

@@ -1,14 +1,41 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestGraphs}
 import repro.data.BipartiteGen
-import repro.linalg.{Block, Local, Operators}
+import repro.linalg.{Block, Local, Operators, Slab, SparseOp}
 
-/** HOPE+ (Algorithms 2–3): both rounding schemes, eigen stage, convergence. */
+/** HOPE+ (Algorithms 2–3): both rounding schemes, eigen stage, convergence.
+  * The stages run on slab blocks, as `HopePlus.run` and `TableRunner` run
+  * them.
+  */
 class HopePlusSpec extends SparkSpec {
 
   private lazy val sp = spark
   private val params = HopePlus.Params(powerIters = 8, maxRounds = 30, seed = 3)
+
+  /** HOPE's X of `g`, materialised. */
+  private def embed(g: BipartiteGen.Graph, hp: Hope.Params): RDD[Slab] =
+    BipartiteGraph.withOperator(g.edges)(Hope.embed(_, g.config.k, hp))
+
+  /** L of X, materialised. */
+  private def left(x: RDD[Slab], k: Int): RDD[Slab] = SparseOp.materialize(HopePlus.leftSingular(x, k))
+
+  /** FNEM and SNEM sharing one X and L, as `TableRunner` runs them. */
+  private def both(g: BipartiteGen.Graph, p: HopePlus.Params): (DataFrame, DataFrame) = {
+    val k = g.config.k
+    val x = embed(g, Hope.Params(alpha = p.alpha, beta = p.beta, powerIters = p.powerIters, seed = p.seed))
+    val l = try left(x, k) finally x.unpersist()
+    try (HopePlus.round(l, k, HopePlus.Fnem, p.maxRounds), HopePlus.round(l, k, HopePlus.Snem, p.maxRounds))
+    finally l.unpersist()
+  }
+
+  private def sorted(a: DataFrame): Seq[(Long, Int)] = {
+    val spark2 = sp
+    import spark2.implicits._
+    a.as[(Long, Int)].collect().sortBy(_._1).toSeq
+  }
 
   test("FNEM recovers a well-separated planted partition") {
     val g = TestGraphs.easy(sp)
@@ -26,7 +53,7 @@ class HopePlusSpec extends SparkSpec {
 
   test("both variants survive hub-heavy noise") {
     val g = TestGraphs.hubHeavy(sp)
-    val (fnem, snem) = HopePlus.runBoth(g.edges, g.config.k, params)
+    val (fnem, snem) = both(g, params)
     assert(Metrics.evaluate(fnem, g.uLabels).ari > 0.6)
     assert(Metrics.evaluate(snem, g.uLabels).ari > 0.6)
   }
@@ -39,20 +66,22 @@ class HopePlusSpec extends SparkSpec {
 
   test("leftSingular produces orthonormal columns (relaxed L, Lemma 4.3)") {
     val g = TestGraphs.easy(sp)
-    val x = Hope.embed(g.edges, g.config.k, Hope.Params(powerIters = 8, seed = 3))
+    val x = embed(g, Hope.Params(powerIters = 8, seed = 3))
     val l = HopePlus.leftSingular(x, g.config.k)
-    assert(Local.maxAbsDiff(Block.gram(l), Local.eye(g.config.k)) < 1e-6)
+    assert(Local.maxAbsDiff(SparseOp.gram(l), Local.eye(g.config.k)) < 1e-6)
+    x.unpersist()
   }
 
   test("leftSingular spans the top of XXᵀ: trace test (Ky Fan, Lemma 4.1)") {
     val g = TestGraphs.easy(sp)
-    val x = Hope.embed(g.edges, g.config.k, Hope.Params(powerIters = 8, seed = 3))
+    val x = embed(g, Hope.Params(powerIters = 8, seed = 3))
     val k = g.config.k
     val l = HopePlus.leftSingular(x, k)
     // Tr(Lᵀ X Xᵀ L) must equal the sum of the top-k eigenvalues of XᵀX.
-    val gramX = Block.gram(x)
+    val gramX = SparseOp.gram(x)
     val (_, lam) = Local.symEigDesc(gramX)
-    val (lRows, xRows) = (Block.collectMap(l), Block.collectMap(x))
+    val (lRows, xRows) = (collectRows(l), collectRows(x))
+    x.unpersist()
     val ltx = Local.zeros(k, xRows.head._2.length) // k×β
     for ((id, lv) <- lRows; xv = xRows(id); i <- lv.indices; j <- xv.indices) ltx(i)(j) += lv(i) * xv(j)
     val trace = ltx.map(r => r.map(x2 => x2 * x2).sum).sum
@@ -108,34 +137,33 @@ class HopePlusSpec extends SparkSpec {
     val spark2 = sp
     import spark2.implicits._
     Seq(TestGraphs.easy(sp), TestGraphs.hubHeavy(sp)).foreach { g =>
-      val x = Hope.embed(g.edges, g.config.k, Hope.Params(powerIters = 8, seed = 3))
-      val l = HopePlus.leftSingular(x, g.config.k).transform(Block.localize)
-      val rows = Block.collectMap(l)
+      val x = embed(g, Hope.Params(powerIters = 8, seed = 3))
+      val l = left(x, g.config.k)
+      val rows = collectRows(l)
       for (urt <- Seq(HopePlus.Fnem, HopePlus.Snem); maxRounds <- Seq(1, 30)) {
         val (assign, rounds) = HopePlus.rounding(l, g.config.k, urt, maxRounds)
         val (want, wantRounds) = localRounding(rows, g.config.k, urt, maxRounds)
         assert(rounds == wantRounds, s"${urt.name}, cap $maxRounds")
         assert(assign.as[(Long, Int)].collect().toMap == want, s"${urt.name}, cap $maxRounds")
       }
+      x.unpersist(); l.unpersist()
     }
   }
 
   test("KMeansD.run and both rounding variants do not depend on the partitioning") {
-    val spark2 = sp
-    import spark2.implicits._
     val g = TestGraphs.easy(sp)
     val k = g.config.k
-    val x = Hope.embed(g.edges, k, Hope.Params(powerIters = 8, seed = 3))
-    val l = HopePlus.leftSingular(x, k).transform(Block.localize)
-    def sorted(a: org.apache.spark.sql.DataFrame) = a.as[(Long, Int)].collect().sortBy(_._1).toSeq
+    val x = embed(g, Hope.Params(powerIters = 8, seed = 3))
+    val l = left(x, k)
     val runs = Seq(1, 4, 16).map { p =>
-      val (xp, lp) = (x.repartition(p), l.repartition(p))
-      assert(xp.rdd.getNumPartitions == p && lp.rdd.getNumPartitions == p)
+      val (xp, lp) = (Block.slabs(SparseOp.toDataset(x).repartition(p)), Block.slabs(SparseOp.toDataset(l).repartition(p)))
+      assert(xp.getNumPartitions == p && lp.getNumPartitions == p)
       (sorted(KMeansD.run(xp, k, seed = 3)),
        sorted(HopePlus.round(lp, k, HopePlus.Fnem, maxRounds = 30)),
        sorted(HopePlus.round(lp, k, HopePlus.Snem, maxRounds = 30)))
     }
     runs.tail.foreach(r => assert(r == runs.head))
+    x.unpersist(); l.unpersist()
   }
 
   test("the HOPE / HOPE+ request does not depend on the operator's partition count") {
@@ -148,7 +176,6 @@ class HopePlusSpec extends SparkSpec {
     val inputs = Seq(("easy", TestGraphs.easy(sp), Hope.Params(powerIters = 8, seed = 3)),
                      ("hubHeavy", TestGraphs.hubHeavy(sp), Hope.Params(powerIters = 8, seed = 3)),
                      ("corafull-wide", wide, Hope.Params(beta = 160, powerIters = 2, kMeansIters = 10, seed = 7)))
-    def sorted(a: org.apache.spark.sql.DataFrame) = a.as[(Long, Int)].collect().sortBy(_._1).toSeq
     for ((name, g, hp) <- inputs) {
       val k = g.config.k
       // Every partition count multiplies the same collected edges.
@@ -156,8 +183,8 @@ class HopePlusSpec extends SparkSpec {
       val runs = Seq(1, 4, 16).map { p =>
         val a = Operators.partitioned(edges, p)
         val x = try Hope.embed(a, k, hp) finally a.unpersist()
-        val l = HopePlus.leftSingular(x, k).transform(Block.localize)
-        val lRows = Block.collectMap(l)
+        val l = left(x, k)
+        val lRows = collectRows(l)
         val rounds = Seq(HopePlus.Fnem, HopePlus.Snem).map { urt =>
           val got = sorted(HopePlus.round(l, k, urt, maxRounds = 30))
           assert(got.toMap == localRounding(lRows, k, urt, 30)._1, s"$name, $p partitions: ${urt.name} vs local")
@@ -165,7 +192,9 @@ class HopePlusSpec extends SparkSpec {
         }
         if (name == "corafull-wide")
           assert(lRows.values.map(v => Local.argmax(v)).toSet.size < k, "the greedy seeding leaves no cluster empty")
-        (Block.collectMap(x), sorted(KMeansD.run(x, k, maxIters = hp.kMeansIters, seed = hp.seed)), rounds)
+        val out = (collectRows(x), sorted(KMeansD.run(x, k, maxIters = hp.kMeansIters, seed = hp.seed)), rounds)
+        x.unpersist(); l.unpersist()
+        out
       }
       // Assignments are compared exactly, cluster ids included.
       runs.tail.zip(Seq(4, 16)).foreach { case ((x, km, rounds), p) =>
@@ -180,12 +209,13 @@ class HopePlusSpec extends SparkSpec {
   test("KMeansD.run and both rounding variants leave only what they return persisted") {
     val g = TestGraphs.easy(sp)
     val k = g.config.k
-    val x = Hope.embed(g.edges, k, Hope.Params(powerIters = 2, seed = 3))
-    val l = HopePlus.leftSingular(x, k).transform(Block.localize)
+    val x = embed(g, Hope.Params(powerIters = 2, seed = 3))
+    val l = left(x, k)
     val leaked = leakedBy(Seq(KMeansD.run(x, k, seed = 3),
                               HopePlus.round(l, k, HopePlus.Fnem, maxRounds = 30),
                               HopePlus.round(l, k, HopePlus.Snem, maxRounds = 30)))
     assert(leaked.isEmpty, s"still persisted: ${leaked.mkString(", ")}")
+    x.unpersist(); l.unpersist()
   }
 
   test("leftSingular's Spark jobs are labelled with the step that submitted them") {
@@ -195,15 +225,33 @@ class HopePlusSpec extends SparkSpec {
     Block.release(x)
   }
 
+  test("leftSingular and round on a Dataset, the benchmark's signatures, equal the slab forms") {
+    // The benchmark's calls (`Hope.embed` on the edges, then the Dataset
+    // forms) against the stages `HopePlus.run` chains, bit for bit.
+    val g = TestGraphs.hubHeavy(sp)
+    val k = g.config.k
+    val hp = Hope.Params(powerIters = 8, seed = 3)
+    val ds = Hope.embed(g.edges, k, hp)
+    val l = Block.localize(HopePlus.leftSingular(ds, k))
+    val x = embed(g, hp)
+    val want = left(x, k)
+    def bits(rows: Map[Long, Array[Double]]) = rows.view.mapValues(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toMap
+    assert(bits(Block.collectMap(l)) == bits(collectRows(want)))
+    for (urt <- Seq(HopePlus.Fnem, HopePlus.Snem))
+      assert(sorted(HopePlus.round(l, k, urt, 30)) == sorted(HopePlus.round(want, k, urt, 30)), urt.name)
+    Block.release(ds); Block.release(l); x.unpersist(); want.unpersist()
+  }
+
   test("rounding converges well before the iteration cap on easy input") {
     val g = TestGraphs.easy(sp)
-    val x = Hope.embed(g.edges, g.config.k, Hope.Params(powerIters = 8, seed = 3))
-    val l = HopePlus.leftSingular(x, g.config.k).transform(repro.linalg.Block.localize)
+    val x = embed(g, Hope.Params(powerIters = 8, seed = 3))
+    val l = left(x, g.config.k)
     val a30 = HopePlus.round(l, g.config.k, HopePlus.Snem, maxRounds = 30)
     val a31 = HopePlus.round(l, g.config.k, HopePlus.Snem, maxRounds = 31)
     // Converged: one extra allowed round changes nothing.
     val m = Metrics.contingency(a30, a31.withColumnRenamed("cluster", "label"))
     assert(Metrics.accuracy(m) == 1.0)
+    x.unpersist(); l.unpersist()
   }
 
   test("is deterministic for a fixed seed") {
@@ -215,19 +263,20 @@ class HopePlusSpec extends SparkSpec {
 
   test("returns a valid k-partition of U (both variants)") {
     val g = TestGraphs.easy(sp)
-    val (fnem, snem) = HopePlus.runBoth(g.edges, g.config.k, params)
+    val (fnem, snem) = both(g, params)
     TestGraphs.assertValidAssignment(fnem, g.config.nU, g.config.k)
     TestGraphs.assertValidAssignment(snem, g.config.nU, g.config.k)
   }
 
   test("rounding does not degrade quality versus the greedy seeding") {
     val g = TestGraphs.hubHeavy(sp)
-    val x = Hope.embed(g.edges, g.config.k, Hope.Params(powerIters = 8, seed = 3))
-    val l = HopePlus.leftSingular(x, g.config.k).transform(repro.linalg.Block.localize)
+    val x = embed(g, Hope.Params(powerIters = 8, seed = 3))
+    val l = left(x, g.config.k)
     val seedOnly = HopePlus.round(l, g.config.k, HopePlus.Snem, maxRounds = 0)
     val rounded  = HopePlus.round(l, g.config.k, HopePlus.Snem, maxRounds = 30)
     val s0 = Metrics.evaluate(seedOnly, g.uLabels)
     val s1 = Metrics.evaluate(rounded, g.uLabels)
     assert(s1.ari >= s0.ari - 0.05, s"seed=$s0 rounded=$s1")
+    x.unpersist(); l.unpersist()
   }
 }

@@ -110,6 +110,15 @@ class HopeSpec extends SparkSpec {
       Seq("operator/build", "operator/build", "subspace/step 1", "subspace/step 2", "subspace/ritz", "embed/x"))
   }
 
+  test("embed on the edges, the benchmark's signature, equals embed on the graph's operator") {
+    val g = TestGraphs.hubHeavy(sp)
+    val ds = Hope.embed(g.edges, g.config.k, fastParams)
+    val x = BipartiteGraph.withOperator(g.edges)(Hope.embed(_, g.config.k, fastParams))
+    def bits(rows: Map[Long, Array[Double]]) = rows.view.mapValues(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toMap
+    assert(bits(Block.collectMap(ds)) == bits(collectRows(x)))
+    Block.release(ds); x.unpersist()
+  }
+
   test("embed rejects k > |U| and β > min(|U|, |V|), after the edge check") {
     import sp.implicits._
     // |U| = 3, |V| = 5.

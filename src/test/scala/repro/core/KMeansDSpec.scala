@@ -1,22 +1,34 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.linalg.{BRow, Block, Local}
+import org.apache.spark.rdd.RDD
+import repro.linalg.{BRow, Block, Local, Slab, SparseOp}
 
-/** Distributed Lloyd k-means on separable synthetic blobs. */
+/** Distributed Lloyd k-means on separable synthetic blobs, given as
+  * blocks of one slab per partition of a Dataset of the rows.
+  */
 class KMeansDSpec extends SparkSpec {
 
   private lazy val sp = spark
 
-  private def blobs(n: Int, k: Int, dim: Int, sep: Double, seed: Int) = {
+  private def blobs(n: Int, k: Int, dim: Int, sep: Double, seed: Int): (RDD[Slab], Seq[(Long, Int)]) = {
+    val (rows, truth) = blobRows(n, k, dim, sep, seed)
+    (slabs(rows), truth)
+  }
+
+  private def slabs(rows: Seq[BRow]): RDD[Slab] = {
     import sp.implicits._
+    Block.slabs(rows.toDS())
+  }
+
+  private def blobRows(n: Int, k: Int, dim: Int, sep: Double, seed: Int) = {
     val rnd = new scala.util.Random(seed)
     val centers = Array.fill(k)(Array.fill(dim)(rnd.nextGaussian() * sep))
     val rows = (0 until n).map { i =>
       val c = i % k
       BRow(i.toLong, centers(c).map(_ + rnd.nextGaussian() * 0.1))
     }
-    (rows.toDS(), (0 until n).map(i => i.toLong -> (i % k)))
+    (rows, (0 until n).map(i => i.toLong -> (i % k)))
   }
 
   test("recovers well-separated blobs exactly") {
@@ -80,24 +92,33 @@ class KMeansDSpec extends SparkSpec {
     // re-seeds land on duplicate points, so they move no assignment), and
     // 5 rows in 16 partitions: parallelize puts them in slices 3, 6, 9, 12
     // and 15, so the first partition and 10 others hold no row.
-    val (overlap, _) = blobs(300, 4, 4, sep = 0.15, seed = 11)
+    val overlap = blobRows(300, 4, 4, sep = 0.15, seed = 11)._1.toDS()
     val dup = (0 until 60).map(i => BRow(i.toLong, Array(i % 5 * 1.0, (i % 5) * (i % 5) * 0.5))).toDS()
     val sparse = sp.createDataset(sp.sparkContext.parallelize((0 until 5).map(i => BRow(i.toLong, Array(i * 1.0, (i % 2) * 3.0))), 16))
     assert(sparse.rdd.glom().collect().map(_.length).toSeq == Seq(0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1))
     Seq((overlap, 4, 25, 4096), (overlap, 4, 3, 40), (overlap.repartition(7), 5, 25, 60), (dup, 7, 6, 4096),
         (sparse, 2, 25, 4096))
-      .zipWithIndex.foreach { case ((x, k, iters, sampleSize), n) =>
+      .zipWithIndex.foreach { case ((ds, k, iters, sampleSize), n) =>
+        val x = Block.slabs(ds)
         val got = KMeansD.run(x, k, maxIters = iters, seed = 13 + n, sampleSize = sampleSize)
           .as[(Long, Int)].collect().toMap
-        val want = localKMeans(Block.collectMap(x), k, iters, seed = 13 + n, sampleSize)
+        val want = localKMeans(collectRows(x), k, iters, seed = 13 + n, sampleSize)
         assert(got == want, s"case $n")
       }
   }
 
   test("rejects k greater than the number of rows") {
-    import sp.implicits._
-    val x = Seq(BRow(0L, Array(1.0)), BRow(1L, Array(2.0))).toDS()
+    val x = slabs(Seq(BRow(0L, Array(1.0)), BRow(1L, Array(2.0))))
     assertThrows[IllegalArgumentException](KMeansD.run(x, 5))
+  }
+
+  test("run on a Dataset, the benchmark's signature, equals run on the slabs it holds") {
+    val rows = blobRows(300, 4, 4, sep = 0.15, seed = 11)._1
+    // Five slabs, one of them empty.
+    val x = sp.sparkContext.parallelize(rows.grouped(75).toSeq :+ Seq.empty[BRow], 5).map(r => Slab.of(r.iterator))
+    def sorted(a: org.apache.spark.sql.DataFrame) =
+      a.collect().map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1).toSeq
+    assert(sorted(KMeansD.run(SparseOp.toDataset(x), 4, 7, 21L)) == sorted(KMeansD.run(x, 4, 7, 21L)))
   }
 
   test("k-means++ seeding picks k distinct-ish centers") {
@@ -120,9 +141,9 @@ class KMeansDSpec extends SparkSpec {
   test("objective does not explode: within-cluster distance below random baseline") {
     import sp.implicits._
     val (x, _) = blobs(200, 4, 5, sep = 4.0, seed = 7)
-    val assign = KMeansD.run(x, 4, seed = 5)
-    val joined = x.toDF("id", "vec").join(assign, "id")
-      .as[(Long, Array[Double], Int)].collect()
+    val assign = KMeansD.run(x, 4, seed = 5).as[(Long, Int)].collect()
+    val rows = collectRows(x)
+    val joined = assign.map { case (id, c) => (id, rows(id), c) }
     val byCluster = joined.groupBy(_._3)
     val wss = byCluster.values.map { g =>
       val dim = g.head._2.length

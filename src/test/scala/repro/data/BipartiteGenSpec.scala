@@ -55,6 +55,23 @@ class BipartiteGenSpec extends SparkSpec {
     assert(a.sameElements(b))
   }
 
+  test("generation does not depend on the number of cores") {
+    // `spark.range`'s partition count follows this setting, and by default
+    // the core count.
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    def edges(parallelism: Option[Int]) = {
+      parallelism.foreach(p => sp.conf.set(key, p.toLong))
+      try {
+        val planted = BipartiteGen.planted(sp, cfg.copy(weighted = true)).edges
+        val er = BipartiteGen.erdosRenyi(sp, 100, 80, 1000, seed = 5)
+        Seq(planted, er).map(_.orderBy("u", "v").collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq)
+      } finally sp.conf.unset(key)
+    }
+    val default = edges(None)
+    assert(edges(Some(1)) == default)
+    assert(edges(Some(8)) == default)
+  }
+
   test("different seeds give different graphs") {
     val b = BipartiteGen.planted(sp, cfg.copy(seed = 123)).edges
     val aSet = BipartiteGen.planted(sp, cfg).edges.select("u", "v").collect()

@@ -104,20 +104,40 @@ class SubspaceIterationSpec extends SparkSpec {
     val k = g.config.k
     g.edges.count()
     val held = sc.getPersistentRDDs.keySet
-    import repro.core.{HopePlus, KMeansD}
+    def stillHeld = sc.getPersistentRDDs.filter { case (id, _) => !held.contains(id) }.values.mkString(", ")
+    import repro.core.{BipartiteGraph, Hope, HopePlus, KMeansD}
     for (_ <- 1 to 3) {
-      val x = repro.core.Hope.embed(g.edges, k, repro.core.Hope.Params(powerIters = 2, seed = 3))
+      val x = BipartiteGraph.withOperator(g.edges)(Hope.embed(_, k, Hope.Params(powerIters = 2, seed = 3)))
       val hope = KMeansD.run(x, k, maxIters = 5, seed = 3)
-      val l = HopePlus.leftSingular(x, k).transform(Block.localize)
+      val l = SparseOp.materialize(HopePlus.leftSingular(x, k))
       val rounds = Seq(HopePlus.Fnem, HopePlus.Snem).map(HopePlus.round(l, k, _, maxRounds = 30))
       (hope +: rounds).foreach(a => assert(a.count() == g.config.nU))
-      (Seq(x, hope, l) ++ rounds).foreach(Block.release)
+      x.unpersist(); l.unpersist()
+      (hope +: rounds).foreach(Block.release)
     }
-    val proj = repro.baselines.Projections.uRows(g.edges, 16, seed = 3)
-    assert(proj.count() == g.config.nU)
-    Block.release(proj)
-    assert(sc.getPersistentRDDs.keySet == held,
-      s"still persisted: ${sc.getPersistentRDDs.filter { case (id, _) => !held.contains(id) }.values.mkString(", ")}")
+    val proj = repro.baselines.Projections.uRows(g.edges, k, 16, seed = 3)
+    assert(proj.map(_.size).sum() == g.config.nU)
+    proj.unpersist()
+    assert(sc.getPersistentRDDs.keySet == held, s"still persisted: $stillHeld")
+    // The entry points: only what each returned assignment reads stays
+    // persisted until the assignment is released. (The driver-local
+    // baselines, LE, Girvan–Newman and BiSBM, persist nothing.)
+    import repro.baselines.{DataClustering, NmfBaseline, RandomWalkEmb, Registry, SpectralBaselines}
+    val methods: Seq[(String, () => org.apache.spark.sql.DataFrame)] = Seq(
+      "Hope.run" -> (() => Hope.run(g.edges, k, Hope.Params(powerIters = 2, seed = 3))),
+      "HopePlus.run FNEM" -> (() => HopePlus.run(g.edges, k, HopePlus.Fnem, HopePlus.Params(powerIters = 2, seed = 3))),
+      "HopePlus.run SNEM" -> (() => HopePlus.run(g.edges, k, HopePlus.Snem, HopePlus.Params(powerIters = 2, seed = 3)))) ++
+      (Registry.ours ++ Seq(SpectralBaselines.SC, SpectralBaselines.SCC, SpectralBaselines.SBC, RandomWalkEmb.PPR,
+                            RandomWalkEmb.NRP, NmfBaseline, DataClustering.KMeansBaseline,
+                            DataClustering.KMedoidsBaseline, DataClustering.BirchBaseline))
+        .map(m => m.name -> (() => m.cluster(sp, g.edges, k, seed = 11)))
+    for ((name, run) <- methods) {
+      var assign: org.apache.spark.sql.DataFrame = null
+      val leaked = leakedBy { assign = run(); Seq(assign) }
+      assert(leaked.isEmpty, s"$name: still persisted: ${leaked.mkString(", ")}")
+      Block.release(assign)
+      assert(sc.getPersistentRDDs.keySet == held, s"$name: still persisted after its result is released: $stillHeld")
+    }
   }
 
   test("topLeftSingular rejects β > min(rows, cols) and clamps the guard columns to fit") {
