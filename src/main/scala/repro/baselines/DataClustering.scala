@@ -32,8 +32,6 @@ object DataClustering {
     override def feasible(paperEdges: Long, k: Int): Boolean = paperEdges <= 4000000L
 
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-      val spark2 = spark
-      import spark2.implicits._
       val block = Projections.uRows(edges, k, SketchDim, seed)
       // A Dataset, so that the sample is `Dataset.sample`'s.
       val rows = SparseOp.toDataset(block)
@@ -44,11 +42,12 @@ object DataClustering {
       if (sample.length < k) sample = rows.take(sampleSize).map(_.vec)
 
       val medoids = KMeansD.plusPlusSeed(sample, k, seed)
+      val d = new Array[Double](k)
       var moved = true
       var pass = 0
       while (moved && pass < 8) {
         moved = false
-        val assignS = sample.map(p => Local.argmax(medoids.map(m => -Local.sqDist(p, m))))
+        val assignS = sample.map(KMeansD.nearest(_, 0, medoids, d))
         for (c <- 0 until k) {
           val members = sample.indices.filter(assignS(_) == c)
           if (members.nonEmpty) {
@@ -62,13 +61,10 @@ object DataClustering {
         pass += 1
       }
       // The medoids (k × SketchDim) travel in the task closure.
-      val out = rows.map { r =>
-        var best = 0; var bd = Local.sqDist(r.vec, medoids(0)); var c = 1
-        while (c < medoids.length) {
-          val d = Local.sqDist(r.vec, medoids(c)); if (d < bd) { bd = d; best = c }; c += 1
-        }
-        (r.id, best)
-      }.toDF("id", "cluster").transform(Block.localize)
+      val out = Block.assignments(block) { s =>
+        val d = new Array[Double](k)
+        Array.tabulate(s.size)(i => KMeansD.nearest(s.values, i * s.width, medoids, d))
+      }
       block.unpersist()
       out
     }
@@ -124,14 +120,9 @@ object DataClustering {
       if (centers.length < k) centers = centers ++ Array.fill(k - centers.length)(cfArr(0).clone())
       var it = 0
       var cfCluster = new Array[Int](cfArr.length)
+      val d = new Array[Double](k)
       while (it < 20) {
-        cfCluster = cfArr.map { v =>
-          var best = 0; var bd = Local.sqDist(v, centers(0)); var c = 1
-          while (c < centers.length) {
-            val d = Local.sqDist(v, centers(c)); if (d < bd) { bd = d; best = c }; c += 1
-          }
-          best
-        }
+        cfCluster = cfArr.map(KMeansD.nearest(_, 0, centers, d))
         for (c <- centers.indices) {
           val members = cfArr.indices.filter(cfCluster(_) == c)
           if (members.nonEmpty) {

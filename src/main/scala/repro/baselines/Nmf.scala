@@ -20,8 +20,7 @@ object NmfBaseline extends Baseline {
   val name = "NMF"
   val iterations = 30
 
-  def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-    import spark.implicits._
+  def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
     BipartiteGraph.withOperator(edges) { a =>
       BipartiteGraph.requireClusters(a, k)
       def positive(s: Long)(id: Long, out: Array[Double], off: Int): Unit = {
@@ -45,13 +44,10 @@ object NmfBaseline extends Baseline {
         prevH = Some(h); h = update(h, a.mul(w), wGram) // Aᵀ W
         t += 1
       }
-      val out = Block.localize(w.flatMap { s =>
-        Iterator.tabulate(s.size)(i => (s.ids(i), Local.argmax(s.values, i * s.width, s.width)))
-      }.toDF("id", "cluster"))
+      val out = Block.assignments(w)(s => Array.tabulate(s.size)(i => Local.argmax(s.values, i * s.width, s.width)))
       (w :: h :: prevH.toList).foreach(_.unpersist())
       out
     }
-  }
 
   /** One multiplicative update of the factor rows of a slab,
     * `x ∘ num / (x·G + ε)`, with `at(i)` the row of `num` for row `i` of

@@ -17,13 +17,13 @@ object Registry {
   object HopePlusFnem extends Baseline {
     val name = "HOPE+ (FNEM)"
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
-      HopePlus.run(edges, k, HopePlus.Fnem, HopePlus.Params(seed = seed, maxRounds = 30))
+      HopePlus.run(edges, k, HopePlus.Fnem, Hope.Params(seed = seed))
   }
 
   object HopePlusSnem extends Baseline {
     val name = "HOPE+ (SNEM)"
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
-      HopePlus.run(edges, k, HopePlus.Snem, HopePlus.Params(seed = seed, maxRounds = 30))
+      HopePlus.run(edges, k, HopePlus.Snem, Hope.Params(seed = seed))
   }
 
   /** (method, paper Table 3 complexity) in table order. */

@@ -93,9 +93,13 @@ object SpectralBaselines {
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame =
       BipartiteGraph.withOperator(edges) { a =>
         BipartiteGraph.requireClusters(a, k)
-        SubspaceIteration.topLeftSingular(a.scaled(-1.0, -1.0), k, PowerIters, seed) { (u, _, _) =>
-          KMeansD.run(SparseOp.normalizeRows(u), k, seed = seed)
-        }
+        on(a, k, seed)
+      }
+
+    /** SBC on the operator `a` of the biadjacency. */
+    private[baselines] def on(a: SparseOp, k: Int, seed: Long): DataFrame =
+      SubspaceIteration.topLeftSingular(a.scaled(-1.0, -1.0), k, PowerIters, seed) { (u, _, _) =>
+        KMeansD.run(SparseOp.normalizeRows(u), k, seed = seed)
       }
   }
 }

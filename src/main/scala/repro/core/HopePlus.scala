@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.linalg.{BRow, Block, Local, Slab, SparseOp}
 
 /** HOPE+ (paper §4, Algorithms 2 and 3).
@@ -30,11 +30,8 @@ object HopePlus {
   case object Fnem extends Urt { val name = "FNEM" }
   case object Snem extends Urt { val name = "SNEM" }
 
-  final case class Params(alpha: Double = 0.3,
-                          beta: Int = 0,
-                          powerIters: Int = 12,
-                          maxRounds: Int = 100,
-                          seed: Long = 7L)
+  /** The cap on [[round]]'s rounds in [[run]] and the table harness. */
+  private[repro] val MaxRounds = 30
 
   /** Top-k left singular vectors of the dense row-block X (|U|×β, β ≥ k):
     * eigen-decompose the β×β Gram `XᵀX` locally, keep the top-k right
@@ -106,8 +103,6 @@ object HopePlus {
     * through a view this call persists and releases.
     */
   private[core] def rounding(l: RDD[Slab], k: Int, urt: Urt, maxRounds: Int): (DataFrame, Int) = {
-    val spark = SparkSession.active
-    import spark.implicits._
     val sc = l.sparkContext
     val label = s"round.${urt.name.toLowerCase}"
     val rows = SparseOp.mapSlabs(l)(identity).persist(SparseOp.Level)
@@ -132,9 +127,7 @@ object HopePlus {
         }
       }
       val tFinal = t
-      val out = Block.labelJobs(sc, s"$label/assign") {
-        Block.localize(rows.flatMap(x => x.ids.iterator.zip(argmaxes(x, tFinal).iterator)).toDF("id", "cluster"))
-      }
+      val out = Block.labelJobs(sc, s"$label/assign")(Block.assignments(rows)(argmaxes(_, tFinal)))
       (out, rounds)
     } finally rows.unpersist()
   }
@@ -236,11 +229,12 @@ object HopePlus {
     out
   }
 
-  /** Full HOPE+ for one rounding scheme. */
-  def run(edges: DataFrame, k: Int, urt: Urt, params: Params = Params()): DataFrame = {
-    val x = BipartiteGraph.withOperator(edges)(Hope.embed(_, k,
-      Hope.Params(alpha = params.alpha, beta = params.beta, powerIters = params.powerIters, seed = params.seed)))
+  /** Full HOPE+ for one rounding scheme, at most [[MaxRounds]] rounds. X
+    * is HOPE's, so `params.kMeansIters` plays no part.
+    */
+  def run(edges: DataFrame, k: Int, urt: Urt, params: Hope.Params = Hope.Params()): DataFrame = {
+    val x = BipartiteGraph.withOperator(edges)(Hope.embed(_, k, params))
     val l = try SparseOp.materialize(leftSingular(x, k)) finally x.unpersist()
-    try round(l, k, urt, params.maxRounds) finally l.unpersist()
+    try round(l, k, urt, MaxRounds) finally l.unpersist()
   }
 }

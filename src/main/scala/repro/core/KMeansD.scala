@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.linalg.{BRow, Block, Local, Slab, SparseOp}
 
 /** Distributed Lloyd k-Means over dense row-blocks, with k-means++ seeding on
@@ -41,8 +41,6 @@ object KMeansD {
     * was.
     */
   def run(x: RDD[Slab], k: Int, maxIters: Int = 25, seed: Long = 7L, sampleSize: Int = 4096): DataFrame = {
-    val spark = SparkSession.active
-    import spark.implicits._
     val sc = x.sparkContext
     val rows = SparseOp.mapSlabs(x)(identity).persist(SparseOp.Level)
     try {
@@ -91,10 +89,10 @@ object KMeansD {
       }
 
       Block.labelJobs(sc, "kmeans/assign") {
-        Block.localize(rows.flatMap { x =>
+        Block.assignments(rows) { x =>
           val d = new Array[Double](k)
-          Iterator.tabulate(x.size)(i => (x.ids(i), nearest(x.values, i * dim, best, d)))
-        }.toDF("id", "cluster"))
+          Array.tabulate(x.size)(i => nearest(x.values, i * dim, best, d))
+        }
       }
     } finally rows.unpersist()
   }
@@ -167,9 +165,11 @@ object KMeansD {
   }
 
   /** The index of the first centre nearest to row `x(o until o + dim)`,
-    * with every centre's squared distance left in `d`.
+    * with every centre's squared distance left in `d` (length ≥ the number
+    * of centres): the one nearest-centre search of k-means and of the
+    * K-Medoids and Birch baselines.
     */
-  private[core] def nearest(x: Array[Double], o: Int, centers: Array[Array[Double]], d: Array[Double]): Int = {
+  private[repro] def nearest(x: Array[Double], o: Int, centers: Array[Array[Double]], d: Array[Double]): Int = {
     distances(x, o, centers, d)
     var best = 0
     var c = 1

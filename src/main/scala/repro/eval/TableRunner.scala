@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{Baseline, Registry}
 import repro.core.{BipartiteGraph, Hope, HopePlus, KMeansD, Metrics}
-import repro.linalg.SparseOp
+import repro.linalg.{Block, SparseOp}
 import repro.data.Catalog
 
 /** Shared harness that reruns the paper's quality tables: generates each
@@ -99,10 +99,10 @@ object TableRunner {
       val tEig = (System.nanoTime() - t2) / 1e9
       try {
         val t3 = System.nanoTime()
-        val fnem = HopePlus.round(l, k, HopePlus.Fnem, maxRounds = 30)
+        val fnem = HopePlus.round(l, k, HopePlus.Fnem, HopePlus.MaxRounds)
         val tFnem = tEmbed + tEig + (System.nanoTime() - t3) / 1e9
         val t4 = System.nanoTime()
-        val snem = HopePlus.round(l, k, HopePlus.Snem, maxRounds = 30)
+        val snem = HopePlus.round(l, k, HopePlus.Snem, HopePlus.MaxRounds)
         val tSnem = tEmbed + tEig + (System.nanoTime() - t4) / 1e9
         Seq(("HOPE", hopeAssign, tHope),
             ("HOPE+ (FNEM)", fnem, tFnem),
@@ -133,7 +133,7 @@ object TableRunner {
       def record(name: String, mkAssign: () => (org.apache.spark.sql.DataFrame, Double)): Unit =
         try {
           val (assign, secs) = mkAssign()
-          val s = Metrics.evaluate(assign, labels)
+          val s = try Metrics.evaluate(assign, labels) finally Block.release(assign)
           cells((name, spec.name)) = Cell(Some(s), secs)
           if (verbose) println(f"[TableRunner]   $name%-14s $s  (${secs}%.1f s)")
         } catch {

@@ -4,20 +4,22 @@ import scala.reflect.ClassTag
 
 import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** A row of a distributed dense row-block matrix: vertex id → length-β vector. */
 final case class BRow(id: Long, vec: Array[Double])
 
-/** The Dataset side. Pipeline stages hand each other slab blocks
-  * (`RDD[Slab]`); a `Dataset[BRow]` appears only at the Dataset signatures
-  * the benchmark compiles against, which convert once ([[slabs]],
-  * [[SparseOp.toDataset]]), and in the kernels here that only the
-  * benchmark's probes and the tests call (`spmm`, `gram`, `timesLocal`,
-  * `gaussianBlock`, `orthonormalize`). [[localize]] and [[release]] serve
-  * assignments. Reductions add per-partition partials in partition order,
-  * so every run of a pipeline reproduces bit-identical results.
+/** The Dataset side, and the assignments. Pipeline stages hand each other
+  * slab blocks (`RDD[Slab]`); a `Dataset[BRow]` appears only at the Dataset
+  * signatures the benchmark compiles against, which convert once
+  * ([[slabs]], [[SparseOp.toDataset]]), and in the kernels here that only
+  * the benchmark's probes and the tests call (`spmm`, `gram`,
+  * `gaussianBlock`, `orthonormalize`, and [[localize]], which is for those
+  * signatures only). Every method that labels the rows of a slab block
+  * builds its assignment with [[assignments]], which [[release]] frees.
+  * Reductions add per-partition partials in partition order, so every run
+  * of a pipeline reproduces bit-identical results.
   */
 object Block {
 
@@ -92,16 +94,6 @@ object Block {
     */
   def slabs(x: Dataset[BRow]): RDD[Slab] = x.rdd.mapPartitions(it => Iterator.single(Slab.of(it)))
 
-  /** Right-multiply every row by a local matrix: `out_i = x_i · M`. `M`
-    * (at most a few hundred KB) travels in the task closure, so nothing
-    * outlives the call.
-    */
-  def timesLocal(x: Dataset[BRow], m: Local.Mat): Dataset[BRow] = {
-    val spark = x.sparkSession
-    import spark.implicits._
-    x.map(r => BRow(r.id, Local.vecMat(r.vec, m)))
-  }
-
   /** Deterministic gaussian block over `ids` (column "id"). */
   def gaussianBlock(ids: DataFrame, dim: Int, seed: Long): Dataset[BRow] = {
     val spark = ids.sparkSession
@@ -113,7 +105,8 @@ object Block {
   /** Orthonormalise the columns of X via Gram + Cholesky (`X ← X R⁻¹`).
     * A small ridge keeps the Cholesky stable when columns nearly collapse.
     */
-  def orthonormalize(x: Dataset[BRow]): Dataset[BRow] = timesLocal(x, rInverse(gram(x)))
+  def orthonormalize(x: Dataset[BRow]): Dataset[BRow] =
+    SparseOp.toDataset(SparseOp.timesLocal(slabs(x), rInverse(gram(x))))
 
   /** `R⁻¹` of the Cholesky factor `Rᵀ R` of a Gram matrix plus a small ridge,
     * so that `X R⁻¹` has orthonormal columns.
@@ -161,8 +154,20 @@ object Block {
     ds.sparkSession.createDataset(parts.flatMap(_.iterator))(ds.encoder)
   }
 
-  /** Unpersist every persisted RDD in the lineage of `ds`: for a Dataset
-    * that [[localize]] returned, its checkpoint.
+  /** The assignment `(id, cluster)` of the rows of `rows`: `label(s)` gives
+    * the clusters of slab `s`'s rows, in row order. The per-partition ids
+    * and labels are materialised ([[SparseOp.materialize]], one job), so
+    * the result outlives `rows`; [[release]] frees it.
+    */
+  def assignments(rows: RDD[Slab])(label: Slab => Array[Int]): DataFrame = {
+    val spark = SparkSession.active
+    import spark.implicits._
+    val parts = SparseOp.materialize(rows.map(s => (s.ids, label(s))))
+    parts.flatMap { case (ids, cs) => ids.iterator.zip(cs.iterator) }.toDF("id", "cluster")
+  }
+
+  /** Unpersist every persisted RDD in the lineage of `ds`: for an
+    * [[assignments]] or [[localize]] result, its checkpoint.
     */
   def release(ds: Dataset[_]): Unit = {
     def lineage(r: RDD[_]): Seq[RDD[_]] = r +: r.dependencies.flatMap(d => lineage(d.rdd))

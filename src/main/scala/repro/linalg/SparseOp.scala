@@ -517,9 +517,10 @@ object SparseOp {
     x.mapPartitions(s => Iterator.single(f(s.next())), preservesPartitioning = true)
 
   /** `x` as a local checkpoint, filled by one job (a `count`): how a stage
-    * hands a block on. The owner releases it with `unpersist()`.
+    * hands a block (or an assignment, [[Block.assignments]]) on. The owner
+    * releases it with `unpersist()`.
     */
-  def materialize(x: RDD[Slab]): RDD[Slab] = {
+  def materialize[T](x: RDD[T]): RDD[T] = {
     x.localCheckpoint()
     x.count()
     x

@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.{SparkSpec, TestGraphs}
 import repro.core.{BipartiteGraph, Hope, Metrics}
-import repro.linalg.Local
+import repro.linalg.{Block, Local, Operators}
 
 /** Every competitor returns a valid partition and clears a quality floor
   * appropriate to its strength on an easy planted instance (the weak methods
@@ -45,6 +45,20 @@ class BaselinesSpec extends SparkSpec {
       val s = Metrics.evaluate(assign, easy.uLabels)
       info(s"${m.name}: $s")
       assert(s.ari > minAri, s"${m.name} scores: $s")
+    }
+  }
+
+  test("SBC clears its floor at 1, 4 and 16 operator partitions") {
+    import sp.implicits._
+    // Every partition count multiplies the same collected edges.
+    val edges = easy.edges.select("u", "v", "w").as[(Long, Long, Double)].collect().sorted.toSeq.toDF("u", "v", "w")
+    for (p <- Seq(1, 4, 16)) {
+      val a = Operators.partitioned(edges, p)
+      val assign = try SpectralBaselines.SBC.on(a, k, seed = 11) finally a.unpersist()
+      val s = Metrics.evaluate(assign, easy.uLabels)
+      info(s"SBC, $p partitions: $s")
+      assert(s.ari > 0.02, s"SBC, $p partitions: $s")
+      Block.release(assign)
     }
   }
 

@@ -13,7 +13,7 @@ import repro.linalg.{Block, Local, Operators, Slab, SparseOp}
 class HopePlusSpec extends SparkSpec {
 
   private lazy val sp = spark
-  private val params = HopePlus.Params(powerIters = 8, maxRounds = 30, seed = 3)
+  private val params = Hope.Params(powerIters = 8, seed = 3)
 
   /** HOPE's X of `g`, materialised. */
   private def embed(g: BipartiteGen.Graph, hp: Hope.Params): RDD[Slab] =
@@ -23,11 +23,11 @@ class HopePlusSpec extends SparkSpec {
   private def left(x: RDD[Slab], k: Int): RDD[Slab] = SparseOp.materialize(HopePlus.leftSingular(x, k))
 
   /** FNEM and SNEM sharing one X and L, as `TableRunner` runs them. */
-  private def both(g: BipartiteGen.Graph, p: HopePlus.Params): (DataFrame, DataFrame) = {
+  private def both(g: BipartiteGen.Graph, p: Hope.Params): (DataFrame, DataFrame) = {
     val k = g.config.k
-    val x = embed(g, Hope.Params(alpha = p.alpha, beta = p.beta, powerIters = p.powerIters, seed = p.seed))
+    val x = embed(g, p)
     val l = try left(x, k) finally x.unpersist()
-    try (HopePlus.round(l, k, HopePlus.Fnem, p.maxRounds), HopePlus.round(l, k, HopePlus.Snem, p.maxRounds))
+    try (HopePlus.round(l, k, HopePlus.Fnem, HopePlus.MaxRounds), HopePlus.round(l, k, HopePlus.Snem, HopePlus.MaxRounds))
     finally l.unpersist()
   }
 

@@ -79,9 +79,30 @@ class BlockSpec extends SparkSpec {
   test("timesLocal right-multiplies every row") {
     val m = Array(Array(1.0, 2.0), Array(0.0, 1.0))
     val x = mkDense(Map(0L -> Array(1.0, 1.0), 1L -> Array(2.0, 3.0)))
-    val out = Block.collectMap(Block.timesLocal(x, m))
+    val out = collectRows(SparseOp.timesLocal(Block.slabs(x), m))
     assert(out(0L).sameElements(Array(1.0, 3.0)))
     assert(out(1L).sameElements(Array(2.0, 7.0)))
+  }
+
+  test("assignments label every row of every slab, materialised once and freed by release") {
+    val sc = sp.sparkContext
+    // Ids out of order, a slab without rows, a slab of width 0, and (the
+    // first of 4 partitions for 3 slabs) a partition without a slab.
+    val slabs = Seq(new Slab(Array(9L, 3L, 7L), 2, Array(1.0, 0.0, 0.0, 1.0, 5.0, 6.0)),
+                    Slab.of(Iterator.empty),
+                    new Slab(Array(5L, 1L), 0, Array.emptyDoubleArray))
+    val rows = sc.parallelize(slabs, 4)
+    assert(rows.glom().collect().map(_.length).toSeq == Seq(0, 1, 1, 1))
+    def label(s: Slab) = Array.tabulate(s.size)(i => (s.ids(i) % 4).toInt + (if (s.width > 0) s.size else 0))
+    val before = sc.getPersistentRDDs.keySet
+    var assign: org.apache.spark.sql.DataFrame = null
+    assert(jobLabels { assign = Block.assignments(rows)(label) }.size == 1, "one job materialises the assignment")
+    assert(assign.columns.toSeq == Seq("id", "cluster"))
+    val got = assign.collect().map(r => (r.getLong(0), r.getInt(1))).toSet
+    assert(got == Set(9L -> 4, 3L -> 6, 7L -> 6, 5L -> 1, 1L -> 1))
+    assert(sc.getPersistentRDDs.keySet.size == before.size + 1)
+    Block.release(assign)
+    assert(sc.getPersistentRDDs.keySet == before)
   }
 
   /** The rows of a one-slab block by id. */
@@ -128,7 +149,7 @@ class BlockSpec extends SparkSpec {
     val (qRows, xRows) = (Block.collectMap(q), Block.collectMap(x))
     val qtx = Local.zeros(3, 3)
     for ((id, qv) <- qRows; xv = xRows(id); i <- 0 until 3; j <- 0 until 3) qtx(i)(j) += qv(i) * xv(j)
-    val recon = Block.collectMap(Block.timesLocal(q, qtx))
+    val recon = collectRows(SparseOp.timesLocal(Block.slabs(q), qtx))
     val orig = Block.collectMap(x)
     orig.foreach { case (id, v) =>
       v.indices.foreach(i => assert(math.abs(recon(id)(i) - v(i)) < 1e-8))

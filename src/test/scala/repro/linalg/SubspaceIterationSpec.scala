@@ -125,8 +125,8 @@ class SubspaceIterationSpec extends SparkSpec {
     import repro.baselines.{DataClustering, NmfBaseline, RandomWalkEmb, Registry, SpectralBaselines}
     val methods: Seq[(String, () => org.apache.spark.sql.DataFrame)] = Seq(
       "Hope.run" -> (() => Hope.run(g.edges, k, Hope.Params(powerIters = 2, seed = 3))),
-      "HopePlus.run FNEM" -> (() => HopePlus.run(g.edges, k, HopePlus.Fnem, HopePlus.Params(powerIters = 2, seed = 3))),
-      "HopePlus.run SNEM" -> (() => HopePlus.run(g.edges, k, HopePlus.Snem, HopePlus.Params(powerIters = 2, seed = 3)))) ++
+      "HopePlus.run FNEM" -> (() => HopePlus.run(g.edges, k, HopePlus.Fnem, Hope.Params(powerIters = 2, seed = 3))),
+      "HopePlus.run SNEM" -> (() => HopePlus.run(g.edges, k, HopePlus.Snem, Hope.Params(powerIters = 2, seed = 3)))) ++
       (Registry.ours ++ Seq(SpectralBaselines.SC, SpectralBaselines.SCC, SpectralBaselines.SBC, RandomWalkEmb.PPR,
                             RandomWalkEmb.NRP, NmfBaseline, DataClustering.KMeansBaseline,
                             DataClustering.KMedoidsBaseline, DataClustering.BirchBaseline))
